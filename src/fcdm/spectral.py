@@ -1,12 +1,16 @@
-"""2D spectral machinery: DFT wrappers, Gaussian low-pass profile, smoothing.
+"""2D spectral machinery: DFT wrappers, Gaussian low-pass profile, smoothing
+and the correlations the bandwidth search reads.
 
 Conventions: the forward transform is unnormalized and the inverse carries
 the 1/N^2 factor. Sample k of an N-point axis lives at frequency k/L for
 k < N/2 and (k - N)/L for k >= N/2 (the wrapped layout both numpy and the
 filter below share). Smoothing in this space is circular, so fields are
-implicitly L-periodic in both directions.
+implicitly L-periodic in both directions. Smoothing and the correlations
+work on the half plane of real-input transforms (rfft2: every row, columns
+0..N/2); dft2 and idft2 keep the full complex layout.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +131,37 @@ def _aliased_gaussian(grid, sigma_tilde):
         m += 1
 
 
-def smooth_density(density, n_iter):
+def _transfer_axis(grid, n_iter):
+    """One axis of smooth_density's transfer function at step n_iter.
+
+    The aliased Gaussian sum at sigma_tilde = n_iter / L, in wrapped
+    order and without the 1 / (2 pi sigma_tilde^2) factor. The half-plane
+    transforms below take the transfer function to be even, T(-f) = T(f):
+    that is what makes the smoothed field real and lets one half-plane
+    column stand for its mirror. Pairing the alias copies keeps it exactly
+    even, and that is checked here bit for bit.
+    """
+    if n_iter != int(n_iter) or int(n_iter) < 1:
+        raise ValueError(f"iteration number must be a positive integer, got {n_iter}")
+    axis = _aliased_gaussian(grid, int(n_iter) / grid.domain_width)
+    if not np.array_equal(axis[1:], axis[:0:-1]):
+        raise ValueError("transfer function is not even; the smoothed field would not be real")
+    return axis
+
+
+def half_spectrum(density):
+    """rfft2 of a real field: all rows in wrapped order, columns 0..N/2.
+
+    The columns N/2+1..N-1 of the full transform are the complex
+    conjugates of mirrored half-plane entries, so this half determines
+    the whole spectrum. smooth_density and consecutive_correlations take
+    it as an argument, so a caller can transform a field once and reuse
+    the result.
+    """
+    return np.fft.rfft2(density.values)
+
+
+def smooth_density(density, n_iter, spectrum=None):
     """Low-pass the field at bandwidth sigma_tilde = n_iter / L.
 
     Equivalent to circular convolution with the spatial Gaussian kernel
@@ -136,18 +170,65 @@ def smooth_density(density, n_iter):
     kernel's exact DFT: the continuous profile of gaussian_filter_spectrum
     plus its aliased copies, sum over m1, m2 of G(f1 + m1 N/L, f2 + m2 N/L),
     built as the outer product of one aliased sum per axis divided by
-    2 pi sigma_tilde^2. The result is real and the operation is linear in
-    the input field.
+    2 pi sigma_tilde^2. The operation is linear in the input field.
+
+    The transform pair is rfft2 / irfft2 on the half plane of
+    non-negative x1 frequencies; spectrum, if given, must be
+    half_spectrum(density) and saves the forward transform. irfft2
+    returns a real field whatever its input, which is the true inverse
+    only for a transfer function even in f: the exact evenness check on
+    the per-axis sum guards that.
     """
-    if n_iter != int(n_iter) or int(n_iter) < 1:
-        raise ValueError(f"iteration number must be a positive integer, got {n_iter}")
     grid = density.grid
+    axis = _transfer_axis(grid, n_iter)
     st = int(n_iter) / grid.domain_width
-    axis = _aliased_gaussian(grid, st)
-    transfer = np.outer(axis, axis) / (2.0 * np.pi * st * st)
-    spectrum = dft2(density)
-    filtered = SpectrumField(grid=grid, values=spectrum.values * transfer)
-    return idft2(filtered)
+    n = grid.n_mesh
+    if spectrum is None:
+        spectrum = half_spectrum(density)
+    transfer = np.outer(axis, axis[: n // 2 + 1]) / (2.0 * np.pi * st * st)
+    return DensityField(grid=grid, values=np.fft.irfft2(spectrum * transfer, s=(n, n)))
+
+
+def consecutive_correlations(density, spectrum=None):
+    """Yield c(n) = corr(smooth_density(density, n), smooth_density(density, n - 1)) for n = 2, 3, ...
+
+    Computed on the spectrum, with no inverse transform. By Parseval, the
+    centred inner product of the fields smoothed by real, even transfer
+    functions T and T' is the sum over nonzero frequencies of
+    |R|^2 T T' / N^2, R the raster's spectrum. On the rfft2 half plane
+    columns 1..N/2-1 also stand for their mirror images and count twice,
+    columns 0 and N/2 count once, and the DC term is left out, which is
+    exactly the mean subtraction. The 1 / N^2 and 1 / (2 pi sigma_tilde^2)
+    factors cancel in the correlation, and T = a (x) a is separable, so
+    every sum is a quadratic form u @ P @ u[:N/2+1] with u the product of
+    two axis vectors: O(N^2) per step and no N x N temporaries.
+
+    spectrum, if given, must be half_spectrum(density). Each value is
+    clipped into [-1, 1], like pearson_correlation. A smoothed field with
+    no variance raises ValueError. The sequence is endless; the caller
+    stops reading it.
+    """
+    grid = density.grid
+    if spectrum is None:
+        spectrum = half_spectrum(density)
+    half = spectrum.shape[1]
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    power[:, 1 : half - 1] *= 2.0
+    power[0, 0] = 0.0
+
+    def energy(u):
+        return float(u @ power @ u[:half])
+
+    prev = _transfer_axis(grid, 1)
+    prev_energy = energy(prev * prev)
+    for n in itertools.count(2):
+        axis = _transfer_axis(grid, n)
+        cur_energy = energy(axis * axis)
+        if cur_energy == 0.0 or prev_energy == 0.0:
+            raise ValueError("correlation undefined for a constant field")
+        r = energy(axis * prev) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
+        yield min(max(float(r), -1.0), 1.0)
+        prev, prev_energy = axis, cur_energy
 
 
 def _unpack_pixel(p):

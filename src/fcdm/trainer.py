@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import FeatureScaler, fit_scaler, normalize_dataset
 from .grid import DensityField, GridSpec, is_power_of_two, rasterize_signed
-from .spectral import smooth_density
+from .spectral import consecutive_correlations, half_spectrum, smooth_density
 
 # below this total shifted density a pixel carries no information and
 # falls back to the uniform distribution
@@ -129,6 +129,10 @@ def pearson_correlation(a, b):
         raise ValueError("cannot correlate fields on different grids")
     x = a.values.ravel()
     y = b.values.ravel()
+    # tested on the values themselves: the mean of a constant field can
+    # be off by roundoff, which leaves a tiny nonzero spread below
+    if x.min() == x.max() or y.min() == y.max():
+        raise ValueError("correlation undefined for a constant field")
     dx_ = x - x.mean()
     dy_ = y - y.mean()
     sx = float(np.sqrt(dx_ @ dx_))
@@ -139,43 +143,55 @@ def pearson_correlation(a, b):
     return min(max(r, -1.0), 1.0)
 
 
-def find_optimal_iteration(raster, epsilon, n_max, label=""):
+def stopping_rule(correlations, epsilon, n_max):
     """Pick the bandwidth step where the correlation curve flattens.
 
-    Smooths the raster at n = 1, 2, ... and records
-    c(n) = corr(smooth(n), smooth(n-1)). The discrete second derivative
-    d2(n) = c(n+1) - 2 c(n) + c(n-1) is checked at centers n = 3, 4, ...,
-    n_max - 1 in order; the first with |d2(n)| < epsilon wins. If none
-    falls below epsilon the search returns n_max with converged=False.
-    Returns (n_k, trace).
+    correlations yields c(2), c(3), ... in order. The discrete second
+    derivative d2(n) = c(n+1) - 2 c(n) + c(n-1) is checked at centers
+    n = 3, 4, ..., n_max - 1 in order; the first with |d2(n)| < epsilon
+    wins. If none falls below epsilon the result is n_max with
+    converged=False. The sequence is read no further than the deciding
+    value, and never past c(n_max). Returns
+    (n_k, second_derivatives, converged), second_derivatives[t] being
+    d2(3 + t).
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n_max < 4:
         raise ValueError(f"n_max must be at least 4, got {n_max}")
-    prev = smooth_density(raster, 1)
-    cur = smooth_density(raster, 2)
-    corr = [pearson_correlation(cur, prev)]
+    corr = []
     d2s = []
-    n_k = None
-    converged = False
-    for n in range(3, n_max + 1):
-        prev, cur = cur, smooth_density(raster, n)
-        corr.append(pearson_correlation(cur, prev))
+    for n, c in zip(range(2, n_max + 1), correlations):
+        corr.append(c)
         if len(corr) < 3:
             continue
-        center = n - 1
         d2 = corr[-1] - 2.0 * corr[-2] + corr[-3]
         d2s.append(d2)
         if abs(d2) < epsilon:
-            n_k = center
-            converged = True
-            break
-    if n_k is None:
-        n_k = n_max
+            return n - 1, d2s, True
+    return n_max, d2s, False
+
+
+def find_optimal_iteration(raster, epsilon, n_max, label="", spectrum=None):
+    """Run stopping_rule on the raster's correlation curve.
+
+    c(n) is the Pearson correlation of the raster smoothed at steps n and
+    n - 1. It is computed from the raster's spectrum by Parseval's theorem
+    (consecutive_correlations), so the search makes at most one forward
+    transform, none if spectrum = half_spectrum(raster) is passed, and no
+    inverse transform. Returns (n_k, trace).
+    """
+    correlations = []
+
+    def recorded():
+        for c in consecutive_correlations(raster, spectrum):
+            correlations.append(c)
+            yield c
+
+    n_k, d2s, converged = stopping_rule(recorded(), epsilon, n_max)
     trace = ConvergenceTrace(
         label=label,
-        correlations=corr,
+        correlations=correlations,
         second_derivatives=d2s,
         n_k=n_k,
         converged=converged,
@@ -199,12 +215,14 @@ def build_probabilities(smoothed):
     for f in fields[1:]:
         if f.grid != grid:
             raise ValueError("class fields live on different grids")
-    stack = np.stack([f.values for f in fields])
-    shifted = stack - stack.min()
-    total = shifted.sum(axis=0)
+    # in place, so only the stack and one per-pixel total are held at once
+    probs = np.stack([f.values for f in fields])
+    probs -= probs.min()
+    total = probs.sum(axis=0)
     degenerate = total < _DEGENERATE_EPS
-    safe = np.where(degenerate, 1.0, total)
-    probs = np.where(degenerate[np.newaxis, :, :], 1.0 / len(fields), shifted / safe)
+    total[degenerate] = 1.0
+    probs /= total
+    probs[:, degenerate] = 1.0 / len(fields)
     return [DensityField(grid=grid, values=probs[k]) for k in range(len(fields))]
 
 
@@ -212,9 +230,10 @@ def train(data, config=None):
     """Fit a classifier on a labeled dataset.
 
     Pipeline: fit the feature scaler, normalize onto the unit square,
-    rasterize each class one-vs-rest, run the per-class bandwidth search,
-    cap every class at the largest per-class stop n_final, re-smooth all
-    rasters there and normalize into probability fields.
+    rasterize each class one-vs-rest, transform each raster once, run the
+    per-class bandwidth search on its spectrum, cap every class at the
+    largest per-class stop n_final, smooth every spectrum there with one
+    inverse transform per class and normalize into probability fields.
     """
     if config is None:
         config = TrainConfig()
@@ -226,12 +245,14 @@ def train(data, config=None):
     normalized = normalize_dataset(data, scaler)
     grid = GridSpec(n_mesh=config.n_mesh)
     rasters = [rasterize_signed(normalized, lab, grid) for lab in data.labels]
-    traces = []
-    for lab, raster in zip(data.labels, rasters):
-        _, trace = find_optimal_iteration(raster, config.epsilon, config.n_max, label=lab)
-        traces.append(trace)
+    spectra = [half_spectrum(r) for r in rasters]
+    traces = [
+        find_optimal_iteration(r, config.epsilon, config.n_max, label=lab, spectrum=s)[1]
+        for lab, r, s in zip(data.labels, rasters, spectra)
+    ]
     n_final = max(t.n_k for t in traces)
-    smoothed = [smooth_density(r, n_final) for r in rasters]
+    smoothed = [smooth_density(r, n_final, spectrum=s) for r, s in zip(rasters, spectra)]
+    del spectra
     fields = build_probabilities(smoothed)
     return ClassifierModel(
         labels=data.labels,

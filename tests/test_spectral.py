@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcdm.spectral
 from fcdm.dataset import generate_spirals, fit_scaler, normalize_dataset
 from fcdm.grid import DensityField, GridSpec, PixelIndex, rasterize_signed
 from fcdm.spectral import (
     SpectrumField,
     dft2,
     gaussian_filter_spectrum,
+    consecutive_correlations,
     idft2,
     smooth_density,
     smooth_density_direct,
@@ -213,6 +215,24 @@ def test_direct_route_empty_and_cancelling_inputs():
     assert np.all(smooth_density_direct([], 2, grid).values == 0)
     pair = [(PixelIndex(3, 5), 1.0), (PixelIndex(3, 5), -1.0)]
     assert np.all(smooth_density_direct(pair, 2, grid).values == 0)
+
+
+def test_uneven_transfer_function_rejected(monkeypatch):
+    # irfft2 returns a real field even when the filtered spectrum is not
+    # conjugate-symmetric; an uneven transfer axis must raise instead
+    even = fcdm.spectral._aliased_gaussian
+
+    def uneven(grid, sigma_tilde):
+        axis = even(grid, sigma_tilde)
+        axis[1] *= 1.0 + 1e-15
+        return axis
+
+    monkeypatch.setattr(fcdm.spectral, "_aliased_gaussian", uneven)
+    field = _random_field(GridSpec(16), 3)
+    with pytest.raises(ValueError, match="even"):
+        smooth_density(field, 2)
+    with pytest.raises(ValueError, match="even"):
+        next(consecutive_correlations(field))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcdm.spectral
 import fcdm.trainer
 from fcdm.dataset import Dataset, LabeledPoint, generate_spirals, split
 from fcdm.grid import DensityField, GridSpec, PixelIndex
 from fcdm.model_io import model_to_bytes
-from fcdm.spectral import smooth_density_direct
+from fcdm.spectral import smooth_density, smooth_density_direct
 from fcdm.trainer import (
     ClassifierModel,
     TrainConfig,
     build_probabilities,
     find_optimal_iteration,
     pearson_correlation,
+    stopping_rule,
     train,
 )
 
@@ -109,11 +111,11 @@ def _orthonormal_pair(grid, seed):
     return u.reshape(n, n), v.reshape(n, n)
 
 
-def test_linear_correlation_sequence_stops_at_first_center(monkeypatch):
+def test_linear_correlation_sequence_stops_at_first_center():
     # Rotating a fixed field by angle increments arccos(c_target(n)) makes
     # corr(f_n, f_{n-1}) an exactly linear sequence, so every second
-    # difference vanishes and the search must stop at the first stencil
-    # center n = 3.
+    # difference vanishes and the rule must stop at the first stencil
+    # center n = 3, having read c(2), c(3), c(4) and nothing further.
     grid = GridSpec(8)
     u, v = _orthonormal_pair(grid, 5)
 
@@ -127,15 +129,29 @@ def test_linear_correlation_sequence_stops_at_first_center(monkeypatch):
         n: DensityField(grid=grid, values=np.cos(t) * u + np.sin(t) * v)
         for n, t in theta.items()
     }
-    monkeypatch.setattr(fcdm.trainer, "smooth_density", lambda raster, n: fields[n])
-    raster = DensityField(grid=grid, values=u)
-    n_k, trace = find_optimal_iteration(raster, 0.01, 8, label="stub")
+    read = []
+
+    def correlations():
+        for n in range(2, 10):
+            read.append(pearson_correlation(fields[n], fields[n - 1]))
+            yield read[-1]
+
+    n_k, second_derivatives, converged = stopping_rule(correlations(), 0.01, 8)
     assert n_k == 3
-    assert trace.converged
-    assert abs(trace.second_derivative_at(3)) < 1e-12
-    assert trace.correlations == pytest.approx(
-        [c_target(n) for n in (2, 3, 4)], abs=1e-12
-    )
+    assert converged
+    assert abs(second_derivatives[0]) < 1e-12
+    assert read == pytest.approx([c_target(n) for n in (2, 3, 4)], abs=1e-12)
+
+
+def test_stopping_rule_reads_no_further_than_n_max():
+    # c(2)..c(6) is all the rule may read at n_max = 6: a curve that never
+    # flattens is capped there, with d2 recorded at centers 3, 4, 5
+    curve = [0.1 * n * n for n in range(2, 12)]
+    it = iter(curve)
+    n_k, second_derivatives, converged = stopping_rule(it, 1e-3, 6)
+    assert (n_k, converged) == (6, False)
+    assert second_derivatives == pytest.approx([0.2, 0.2, 0.2])
+    assert next(it) == curve[5]
 
 
 def test_threshold_never_met_returns_cap_with_flag():
@@ -178,6 +194,59 @@ def test_trace_index_helpers():
         # converged at the first qualifying center: earlier ones stay above
         for earlier in range(3, n_k):
             assert abs(trace.second_derivative_at(earlier)) >= 0.01
+
+
+def _spatial_search(raster, epsilon, n_max):
+    """The search as it ran before the spectral route: smooth every step
+    and correlate consecutive fields in the pixel domain. Kept as the
+    reference the spectral search must reproduce."""
+    prev = smooth_density(raster, 1)
+    cur = smooth_density(raster, 2)
+    corr = [pearson_correlation(cur, prev)]
+    d2s = []
+    for n in range(3, n_max + 1):
+        prev, cur = cur, smooth_density(raster, n)
+        corr.append(pearson_correlation(cur, prev))
+        if len(corr) < 3:
+            continue
+        d2 = corr[-1] - 2.0 * corr[-2] + corr[-3]
+        d2s.append(d2)
+        if abs(d2) < epsilon:
+            return n - 1, corr, d2s, True
+    return n_max, corr, d2s, False
+
+
+@given(
+    mesh=st.sampled_from([8, 16, 32, 64, 128]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    fill=st.floats(min_value=0.0005, max_value=0.5),
+    epsilon=st.sampled_from([1e-3, 1e-2, 3e-2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
+    grid = GridSpec(mesh)
+    rng = np.random.default_rng(seed)
+    occupied = rng.random((mesh, mesh)) < fill
+    occupied.flat[rng.integers(mesh * mesh)] = True
+    signs = np.where(rng.random((mesh, mesh)) < 0.5, -1.0, 1.0)
+    raster = DensityField(grid=grid, values=np.where(occupied, signs, 0.0))
+    n_max = max(4, mesh // 8)
+    n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, epsilon, n_max)
+    n_k, trace = find_optimal_iteration(raster, epsilon, n_max)
+    assert n_k == n_ref
+    assert trace.converged == conv_ref
+    assert len(trace.correlations) == len(corr_ref)
+    assert len(trace.second_derivatives) == len(d2_ref)
+    assert np.abs(np.subtract(trace.correlations, corr_ref)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mesh", [8, 32, 128])
+def test_constant_raster_rejected_by_both_searches(mesh):
+    raster = DensityField(grid=GridSpec(mesh), values=np.ones((mesh, mesh)))
+    with pytest.raises(ValueError, match="constant"):
+        _spatial_search(raster, 0.01, 4)
+    with pytest.raises(ValueError, match="constant"):
+        find_optimal_iteration(raster, 0.01, 4)
 
 
 # ---------------------------------------------------- build_probabilities
@@ -255,6 +324,47 @@ def test_probabilities_permute_with_input_order(seed):
         assert np.abs(got.values - want.values).max() <= 1e-12
 
 
+def _where_probabilities(stack):
+    """The normalisation as written before it ran in place."""
+    shifted = stack - stack.min()
+    total = shifted.sum(axis=0)
+    degenerate = total < 1e-12
+    safe = np.where(degenerate, 1.0, total)
+    return np.where(degenerate[np.newaxis, :, :], 1.0 / len(stack), shifted / safe)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    k=st.integers(min_value=2, max_value=5),
+    mesh=st.sampled_from([8, 16]),
+    flat=st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=60)
+def test_in_place_probabilities_are_bit_identical(seed, k, mesh, flat):
+    grid = GridSpec(mesh)
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-3, 3, (k, mesh, mesh))
+    low = stack.min()
+    # degenerate pixels: every class at the global minimum, or within a
+    # shifted total below the 1e-12 cut
+    for _ in range(flat):
+        i, j = rng.integers(mesh, size=2)
+        stack[:, i, j] = low + rng.choice([0.0, 1e-14, 1e-13])
+    want = _where_probabilities(stack)
+    got = np.stack([p.values for p in build_probabilities(
+        [_field(grid, stack[c].copy()) for c in range(k)])])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_in_place_probabilities_all_equal_stack(k):
+    grid = GridSpec(8)
+    stack = np.full((k, 8, 8), 0.7)
+    got = np.stack([p.values for p in build_probabilities(
+        [_field(grid, stack[c].copy()) for c in range(k)])])
+    assert got.tobytes() == _where_probabilities(stack).tobytes()
+
+
 # ---------------------------------------------------------------- train
 
 def test_golden_spiral_run_at_128():
@@ -307,6 +417,27 @@ def test_far_apart_two_point_classes():
     # the spectral route applies the exact DFT of the sampled periodic
     # kernel, so the two routes agree to roundoff, far inside this bound
     assert np.abs(brute[0].values - p_a).max() <= 1e-3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_train_transforms_each_class_once(monkeypatch, k):
+    # one forward and one inverse real transform per class: the search
+    # runs on the spectrum and the final smoothing reuses it
+    calls = {"rfft2": 0, "irfft2": 0, "fft2": 0, "ifft2": 0}
+    fft = fcdm.spectral.np.fft
+    assert fcdm.trainer.np.fft is fft
+    for name in calls:
+        original = getattr(fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fft, name, counted)
+    data = generate_spirals(k, 80, [0.01] * k, 1.75, 4)
+    model = train(data, TrainConfig(n_mesh=64))
+    assert len(model.probability_fields) == k
+    assert calls == {"rfft2": k, "irfft2": k, "fft2": 0, "ifft2": 0}
 
 
 def test_train_is_deterministic():
