@@ -60,9 +60,7 @@ def predict(model, point):
     u = min(max(float(scaled[0]), 0.0), 1.0)
     v = min(max(float(scaled[1]), 0.0), 1.0)
     pixel = map_to_pixel((u, v), model.grid)
-    probs = tuple(
-        float(f.values[pixel.i, pixel.j]) for f in model.probability_fields
-    )
+    probs = tuple(model.probabilities[:, pixel.i, pixel.j].tolist())
     best = 0
     for k in range(1, len(probs)):
         if probs[k] > probs[best]:

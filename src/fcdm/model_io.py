@@ -12,8 +12,9 @@ File layout, all little-endian, in order:
     labels    K times   u32 byte length + that many UTF-8 bytes
     fields    K times   n_mesh^2 f64, row-major, class order as in labels
 
-Round trips are bit-exact: the f64 payloads are written verbatim, so
-save -> load -> save reproduces the file byte for byte. Training-only
+Round trips are bit-exact: the fields are the model's (K, n_mesh, n_mesh)
+probabilities array written verbatim, and a loaded model's probabilities
+are a read-only view over the bytes read, not a copy. Training-only
 diagnostics (per-class iterations, traces, point counts) are not stored;
 a loaded model carries None in those slots.
 """
@@ -23,7 +24,7 @@ import struct
 import numpy as np
 
 from .dataset import FeatureScaler
-from .grid import DensityField, GridSpec
+from .grid import GridSpec
 from .trainer import ClassifierModel
 
 MAGIC = b"FCDM"
@@ -39,19 +40,19 @@ class ModelFormatError(ValueError):
 def model_to_bytes(model):
     """Serialize a model to its binary representation."""
     k = len(model.labels)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<IIII", VERSION, k, model.grid.n_mesh, model.n_final)
-    out += struct.pack("<d", model.epsilon)
+    header = bytearray()
+    header += MAGIC
+    header += struct.pack("<IIII", VERSION, k, model.grid.n_mesh, model.n_final)
+    header += struct.pack("<d", model.epsilon)
     s = model.scaler
-    out += struct.pack("<4d", s.min1, s.max1, s.min2, s.max2)
+    header += struct.pack("<4d", s.min1, s.max1, s.min2, s.max2)
     for lab in model.labels:
         raw = lab.encode("utf-8")
-        out += struct.pack("<I", len(raw))
-        out += raw
-    for fld in model.probability_fields:
-        out += np.ascontiguousarray(fld.values, dtype=_F64).tobytes()
-    return bytes(out)
+        header += struct.pack("<I", len(raw))
+        header += raw
+    # one allocation: the payload is copied once, into the result
+    payload = np.ascontiguousarray(model.probabilities, dtype=_F64)
+    return b"".join([header, memoryview(payload).cast("B")])
 
 
 def save_model(model, path):
@@ -68,15 +69,17 @@ class _Cursor:
         self.name = name
         self.pos = 0
 
-    def take(self, n):
+    def skip(self, n):
         if self.pos + n > len(self.buf):
             raise ModelFormatError(
                 f"{self.name}: truncated (needed {n} bytes at offset {self.pos}, "
                 f"have {len(self.buf) - self.pos})"
             )
-        chunk = self.buf[self.pos:self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n):
+        return self.buf[self.skip(n):self.pos]
 
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -109,16 +112,13 @@ def model_from_bytes(buf, name="<bytes>"):
         scaler = FeatureScaler(min1=min1, max1=max1, min2=min2, max2=max2)
     except ValueError as exc:
         raise ModelFormatError(f"{name}: {exc}") from exc
-    fields = []
-    count = n_mesh * n_mesh
-    for _ in range(k):
-        raw = cur.take(count * 8)
-        values = np.frombuffer(raw, dtype=_F64, count=count).reshape(n_mesh, n_mesh)
-        fields.append(DensityField(grid=grid, values=values.copy()))
+    offset = cur.skip(8 * k * n_mesh * n_mesh)
     if cur.pos != len(buf):
         raise ModelFormatError(
             f"{name}: {len(buf) - cur.pos} trailing bytes after the last field"
         )
+    probs = np.frombuffer(buf, dtype=_F64, count=k * n_mesh * n_mesh, offset=offset)
+    probs.flags.writeable = False
     try:
         return ClassifierModel(
             labels=tuple(labels),
@@ -126,7 +126,7 @@ def model_from_bytes(buf, name="<bytes>"):
             scaler=scaler,
             n_final=int(n_final),
             epsilon=epsilon,
-            probability_fields=fields,
+            probabilities=probs.reshape(k, n_mesh, n_mesh),
         )
     except ValueError as exc:
         raise ModelFormatError(f"{name}: {exc}") from exc

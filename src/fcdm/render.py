@@ -22,7 +22,7 @@ def probability_pgm(model, class_index):
     k = len(model.labels)
     if not (0 <= class_index < k):
         raise ValueError(f"class index {class_index} out of range [0, {k})")
-    values = model.probability_fields[class_index].values
+    values = model.probabilities[class_index]
     gray = np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.uint8)
     n = model.grid.n_mesh
     header = f"P5\n{n} {n}\n255\n".encode("ascii")
@@ -34,10 +34,13 @@ def decision_ppm(model):
 
     Ties resolve to the lowest class index, matching point prediction.
     """
-    stack = np.stack([f.values for f in model.probability_fields])
-    winners = stack.argmax(axis=0)  # argmax picks the first maximum
+    best = model.probabilities[0].copy()
+    winners = np.zeros(best.shape, dtype=np.intp)
+    for k, p in enumerate(model.probabilities[1:], start=1):
+        winners[p > best] = k
+        np.maximum(best, p, out=best)
     palette = np.array(class_palette(len(model.labels)), dtype=np.uint8)
-    rgb = palette[winners]
+    rgb = np.take(palette, winners, axis=0)
     n = model.grid.n_mesh
     header = f"P6\n{n} {n}\n255\n".encode("ascii")
-    return header + rgb.tobytes()
+    return b"".join([header, memoryview(rgb).cast("B")])

@@ -73,7 +73,8 @@ class ConvergenceTrace:
 class ClassifierModel:
     """A trained classifier: per-class probability fields over the unit square.
 
-    probability_fields[k] matches labels[k]. class_iterations, point_counts
+    probabilities is one C-contiguous (K, n_mesh, n_mesh) float64 array;
+    probabilities[k] matches labels[k]. class_iterations, point_counts
     and traces are training diagnostics; models restored from disk carry
     None there.
     """
@@ -83,7 +84,7 @@ class ClassifierModel:
     scaler: FeatureScaler
     n_final: int
     epsilon: float
-    probability_fields: list = field(repr=False)
+    probabilities: np.ndarray = field(repr=False)
     class_iterations: dict = None
     point_counts: dict = None
     traces: list = field(default=None, repr=False)
@@ -94,28 +95,31 @@ class ClassifierModel:
             raise ValueError(f"need at least 2 classes, got {k}")
         if len(set(self.labels)) != k:
             raise ValueError("label vocabulary contains duplicates")
-        if len(self.probability_fields) != k:
-            raise ValueError(
-                f"{k} labels but {len(self.probability_fields)} probability fields"
-            )
-        for f in self.probability_fields:
-            if f.grid != self.grid:
-                raise ValueError("probability field grid does not match model grid")
+        probs = self.probabilities = np.ascontiguousarray(self.probabilities, dtype=np.float64)
+        shape = (k, self.grid.n_mesh, self.grid.n_mesh)
+        if probs.shape != shape:
+            raise ValueError(f"probabilities have shape {probs.shape}, expected {shape}")
         if not (isinstance(self.n_final, int) and self.n_final >= 1):
             raise ValueError(f"n_final must be a positive integer, got {self.n_final!r}")
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        stack = np.stack([f.values for f in self.probability_fields])
-        total = stack.sum(axis=0)
-        if np.abs(total - 1.0).max() > 1e-9:
-            raise ValueError("probability fields do not sum to 1 per pixel")
-        if stack.min() < -1e-12 or stack.max() > 1.0 + 1e-12:
+        # no copy; NaN fails every test, and the range goes first so the total is finite
+        if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
             raise ValueError("probability fields leave [0, 1]")
+        deviation = probs.sum(axis=0)
+        deviation -= 1.0
+        if not (np.abs(deviation, out=deviation).max() <= 1e-9):
+            raise ValueError("probability fields do not sum to 1 per pixel")
         if self.class_iterations is not None:
             if set(self.class_iterations) != set(self.labels):
                 raise ValueError("class_iterations keys do not match labels")
             if max(self.class_iterations.values()) != self.n_final:
                 raise ValueError("n_final is not the maximum per-class iteration")
+
+    @property
+    def probability_fields(self):
+        """The class probabilities as DensityField views, in label order."""
+        return [DensityField(grid=self.grid, values=p) for p in self.probabilities]
 
 
 def pearson_correlation(a, b):
@@ -199,31 +203,24 @@ def find_optimal_iteration(raster, epsilon, n_max, label="", spectrum=None):
     return n_k, trace
 
 
-def build_probabilities(smoothed):
-    """Normalize smoothed class densities into per-pixel probabilities.
+def build_probabilities(probs):
+    """Normalize a (K, n, n) float64 stack of smoothed class densities in place.
 
     Shifts all fields by the single global minimum (so the smallest value
     becomes 0) and divides by the per-pixel sum across classes. Pixels
     where that sum is below 1e-12 carry no evidence and get the uniform
-    1/K instead. The output sums to 1 at every pixel with each entry in
-    [0, 1].
+    1/K instead. The output, the same array, sums to 1 at every pixel
+    with each entry in [0, 1].
     """
-    fields = list(smoothed)
-    if len(fields) < 2:
-        raise ValueError(f"need at least 2 class fields, got {len(fields)}")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("class fields live on different grids")
-    # in place, so only the stack and one per-pixel total are held at once
-    probs = np.stack([f.values for f in fields])
+    if probs.ndim != 3 or len(probs) < 2 or probs.shape[1] != probs.shape[2]:
+        raise ValueError(f"need at least 2 square class fields, got shape {probs.shape}")
     probs -= probs.min()
     total = probs.sum(axis=0)
     degenerate = total < _DEGENERATE_EPS
     total[degenerate] = 1.0
     probs /= total
-    probs[:, degenerate] = 1.0 / len(fields)
-    return [DensityField(grid=grid, values=probs[k]) for k in range(len(fields))]
+    probs[:, degenerate] = 1.0 / len(probs)
+    return probs
 
 
 def train(data, config=None):
@@ -251,16 +248,18 @@ def train(data, config=None):
         for lab, r, s in zip(data.labels, rasters, spectra)
     ]
     n_final = max(t.n_k for t in traces)
-    smoothed = [smooth_density(r, n_final, spectrum=s) for r, s in zip(rasters, spectra)]
+    probs = np.empty((len(rasters), grid.n_mesh, grid.n_mesh))
+    for k, (r, s) in enumerate(zip(rasters, spectra)):
+        probs[k] = smooth_density(r, n_final, spectrum=s).values
     del spectra
-    fields = build_probabilities(smoothed)
+    build_probabilities(probs)
     return ClassifierModel(
         labels=data.labels,
         grid=grid,
         scaler=scaler,
         n_final=n_final,
         epsilon=config.epsilon,
-        probability_fields=fields,
+        probabilities=probs,
         class_iterations={t.label: t.n_k for t in traces},
         point_counts=counts,
         traces=traces,

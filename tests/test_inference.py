@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcdm.dataset import Dataset, FeatureScaler, LabeledPoint
-from fcdm.grid import DensityField, GridSpec, PixelIndex
+from fcdm.grid import GridSpec, PixelIndex
 from fcdm.inference import evaluate, predict
 from fcdm.trainer import ClassifierModel
 
@@ -19,7 +19,7 @@ def _model_from_fields(fields, labels, n=8, scaler=None):
         scaler=scaler or FeatureScaler(0, 1, 0, 1),
         n_final=3,
         epsilon=0.01,
-        probability_fields=[DensityField(grid=grid, values=v) for v in fields],
+        probabilities=np.stack(fields),
     )
 
 

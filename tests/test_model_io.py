@@ -1,10 +1,13 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fcdm.dataset import FeatureScaler
-from fcdm.grid import DensityField, GridSpec
+from fcdm.dataset import FeatureScaler, generate_spirals
+from fcdm.grid import GridSpec
 from fcdm.model_io import (
     MAGIC,
     VERSION,
@@ -14,7 +17,7 @@ from fcdm.model_io import (
     model_to_bytes,
     save_model,
 )
-from fcdm.trainer import ClassifierModel
+from fcdm.trainer import ClassifierModel, TrainConfig, train
 
 
 def _toy_model(n=8, labels=("a", "b"), seed=0, n_final=3, epsilon=0.01,
@@ -22,15 +25,13 @@ def _toy_model(n=8, labels=("a", "b"), seed=0, n_final=3, epsilon=0.01,
     grid = GridSpec(n)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.05, 0.95, size=(n, n))
-    fields = [DensityField(grid=grid, values=u),
-              DensityField(grid=grid, values=1.0 - u)]
     return ClassifierModel(
         labels=labels,
         grid=grid,
         scaler=FeatureScaler(*scaler),
         n_final=n_final,
         epsilon=epsilon,
-        probability_fields=fields,
+        probabilities=np.stack([u, 1.0 - u]),
     )
 
 
@@ -137,3 +138,166 @@ def test_format_error_is_a_value_error():
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "absent.fcdm")
+
+
+def _random_model(k, n, seed):
+    """A valid K-class model whose probabilities are random per pixel."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, size=(k, n, n))
+    return ClassifierModel(
+        labels=tuple(f"class-{c}" for c in range(k)),
+        grid=GridSpec(n),
+        scaler=FeatureScaler(-1.5, 2.0, 0.25, 3.0),
+        n_final=2,
+        epsilon=0.02,
+        probabilities=weights / weights.sum(axis=0),
+    )
+
+
+@given(
+    k=st.integers(min_value=2, max_value=5),
+    n=st.sampled_from([8, 16, 32]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=30)
+def test_save_load_save_is_byte_exact_for_k_classes(k, n, seed):
+    raw = model_to_bytes(_random_model(k, n, seed))
+    back = model_from_bytes(raw)
+    assert back.probabilities.shape == (k, n, n)
+    assert model_to_bytes(back) == raw
+
+
+def test_loaded_probabilities_are_a_read_only_view():
+    raw = model_to_bytes(_toy_model(seed=2))
+    back = model_from_bytes(raw)
+    assert not back.probabilities.flags.writeable
+    assert np.shares_memory(back.probabilities, np.frombuffer(raw, dtype=np.uint8))
+    writable = model_from_bytes(bytearray(raw))
+    assert not writable.probabilities.flags.writeable
+    with pytest.raises(ValueError):
+        writable.probabilities[0, 0, 0] = 0.5
+
+
+def _payload_offset(raw, k, n):
+    return len(raw) - 8 * k * n * n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payload_raises_format_error_naming_file(tmp_path, bad):
+    raw = bytearray(model_to_bytes(_toy_model()))
+    struct.pack_into("<d", raw, _payload_offset(raw, 2, 8) + 8 * 9, bad)
+    path = tmp_path / "bad.fcdm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match="bad.fcdm"):
+        load_model(path)
+
+
+def test_opposite_infinities_in_one_pixel_rejected():
+    # +inf in class 0 and -inf in class 1 at the same pixel: the pixel
+    # total is NaN, which passes a "deviation > tol" test
+    raw = bytearray(model_to_bytes(_toy_model()))
+    start = _payload_offset(raw, 2, 8)
+    pixel = 8 * 3 + 5
+    struct.pack_into("<d", raw, start + 8 * pixel, math.inf)
+    struct.pack_into("<d", raw, start + 8 * (64 + pixel), -math.inf)
+    with pytest.raises(ModelFormatError, match="<bytes>"):
+        model_from_bytes(bytes(raw))
+
+
+def _mutated_or_valid(raw):
+    """Load raw: either ModelFormatError, or a model that passes validation."""
+    try:
+        model = model_from_bytes(raw)
+    except ModelFormatError:
+        return None
+    probs = model.probabilities
+    assert np.isfinite(probs).all()
+    assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-9
+    assert probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12
+    # whatever was accepted is written back verbatim
+    assert model_to_bytes(model) == raw
+    return model
+
+
+_VALID = model_to_bytes(_random_model(3, 8, seed=5))
+
+
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(_VALID) - 1),
+                  st.integers(min_value=1, max_value=255)),
+        min_size=1, max_size=4,
+    )
+)
+@settings(max_examples=200)
+def test_flipped_bytes_give_format_error_or_valid_model(flips):
+    raw = bytearray(_VALID)
+    for index, mask in flips:
+        raw[index] ^= mask
+    _mutated_or_valid(bytes(raw))
+
+
+@given(keep=st.integers(min_value=0, max_value=len(_VALID) - 1))
+def test_truncated_files_rejected(keep):
+    with pytest.raises(ModelFormatError):
+        model_from_bytes(_VALID[:keep])
+
+
+@given(extra=st.binary(min_size=1, max_size=64))
+def test_extended_files_rejected(extra):
+    with pytest.raises(ModelFormatError, match="trailing"):
+        model_from_bytes(_VALID + extra)
+
+
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3 * 64 - 1),
+                  st.sampled_from([math.nan, math.inf, -math.inf])),
+        min_size=1, max_size=3,
+    )
+)
+def test_non_finite_injection_rejected(cells):
+    raw = bytearray(_VALID)
+    start = _payload_offset(raw, 3, 8)
+    for cell, value in cells:
+        struct.pack_into("<d", raw, start + 8 * cell, value)
+    with pytest.raises(ModelFormatError):
+        model_from_bytes(bytes(raw))
+
+
+# ----------------------------------------------------------- memory guards
+# Allocation counts from tracemalloc, which numpy reports its array
+# buffers to; no timing bounds.
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_copies_no_payload():
+    raw = model_to_bytes(_random_model(4, 128, seed=1))
+    payload = 4 * 128 * 128 * 8
+    model, peak = _traced_peak(lambda: model_from_bytes(raw))
+    assert model.probabilities.shape == (4, 128, 128)
+    assert peak < 0.5 * payload
+
+
+def test_saving_allocates_only_the_result():
+    model = _random_model(4, 128, seed=1)
+    raw, peak = _traced_peak(lambda: model_to_bytes(model))
+    assert peak <= 1.01 * len(raw)
+
+
+def test_training_peak_stays_below_four_and_a_half_payloads():
+    data = generate_spirals(3, 100, [0.01, 0.015, 0.02], 1.75, 5)
+    config = TrainConfig(n_mesh=256)
+    model, peak = _traced_peak(lambda: train(data, config))
+    payload = model.probabilities.nbytes
+    assert payload == 3 * 256 * 256 * 8
+    assert peak < 4.5 * payload

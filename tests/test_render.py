@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcdm.dataset import FeatureScaler, generate_spirals
-from fcdm.grid import DensityField, GridSpec
+from fcdm.grid import GridSpec
 from fcdm.inference import predict
 from fcdm.render import class_palette, decision_ppm, probability_pgm
 from fcdm.trainer import ClassifierModel, TrainConfig, train
@@ -16,7 +17,7 @@ def _model_from_fields(fields, labels, n=8):
         scaler=FeatureScaler(0, 1, 0, 1),
         n_final=3,
         epsilon=0.01,
-        probability_fields=[DensityField(grid=grid, values=v) for v in fields],
+        probabilities=np.stack(fields),
     )
 
 
@@ -108,3 +109,29 @@ def test_decision_map_matches_pointwise_prediction():
             raw_x2 = s.min2 + (i + 0.5) * dx * (s.max2 - s.min2)
             pred = predict(model, (raw_x1, raw_x2))
             assert color_to_class[tuple(rgb[i, j])] == model.labels.index(pred.label)
+
+
+def _argmax_ppm(model):
+    """The decision map as the stacked argmax over classes."""
+    stack = np.stack([f.values for f in model.probability_fields])
+    palette = np.array(class_palette(len(model.labels)), dtype=np.uint8)
+    n = model.grid.n_mesh
+    return f"P6\n{n} {n}\n255\n".encode("ascii") + palette[stack.argmax(axis=0)].tobytes()
+
+
+@given(
+    k=st.integers(min_value=2, max_value=5),
+    n=st.sampled_from([8, 16]),
+    levels=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=80)
+def test_one_pass_decision_map_equals_argmax(k, n, levels, seed):
+    # few integer weight levels, so many pixels hold exact ties between
+    # two or more classes (equal weights give bitwise-equal probabilities)
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, levels + 1, size=(k, n, n)).astype(np.float64)
+    weights[:, weights.sum(axis=0) == 0] = 1.0
+    model = _model_from_fields(weights / weights.sum(axis=0),
+                               tuple(f"k{c}" for c in range(k)), n=n)
+    assert decision_ppm(model) == _argmax_ppm(model)

@@ -252,46 +252,44 @@ def test_constant_raster_rejected_by_both_searches(mesh):
 # ---------------------------------------------------- build_probabilities
 
 def test_two_class_shift_and_normalize():
-    grid = GridSpec(8)
     a = np.zeros((8, 8))
     b = np.zeros((8, 8))
     a[2, 3] = 0.5
     b[2, 3] = -0.5
-    probs = build_probabilities([_field(grid, a), _field(grid, b)])
+    probs = build_probabilities(np.stack([a, b]))
     # global min -0.5 shifts the pixel to (1.0, 0.0)
-    assert probs[0].values[2, 3] == 1.0
-    assert probs[1].values[2, 3] == 0.0
+    assert probs[0, 2, 3] == 1.0
+    assert probs[1, 2, 3] == 0.0
     # elsewhere both classes shifted to 0.5 each
-    assert probs[0].values[0, 0] == 0.5
+    assert probs[0, 0, 0] == 0.5
 
 
 def test_all_zero_fields_fall_back_to_uniform():
-    grid = GridSpec(8)
     zero = np.zeros((8, 8))
-    probs = build_probabilities([_field(grid, zero)] * 3)
+    probs = build_probabilities(np.stack([zero] * 3))
     for p in probs:
-        assert np.all(p.values == 1.0 / 3.0)
+        assert np.all(p == 1.0 / 3.0)
 
 
 def test_equal_shifted_values_give_symmetric_probabilities():
-    grid = GridSpec(8)
     ones = np.ones((8, 8))
     anchor = np.ones((8, 8))
     anchor[0, 0] = 0.0  # pins the global minimum at zero
-    probs = build_probabilities([_field(grid, ones), _field(grid, ones),
-                                 _field(grid, anchor)])
-    assert probs[0].values[4, 4] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert probs[1].values[4, 4] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    probs = build_probabilities(np.stack([ones, ones, anchor]))
+    assert probs[0, 4, 4] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert probs[1, 4, 4] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_probabilities_require_matching_grids():
+    # fields on different grids cannot stack into one (K, n, n) array
     with pytest.raises(ValueError):
-        build_probabilities([
-            _field(GridSpec(8), np.zeros((8, 8))),
-            _field(GridSpec(16), np.zeros((16, 16))),
-        ])
+        np.stack([np.zeros((8, 8)), np.zeros((16, 16))])
     with pytest.raises(ValueError):
-        build_probabilities([_field(GridSpec(8), np.zeros((8, 8)))])
+        build_probabilities(np.zeros((2, 8, 16)))
+    with pytest.raises(ValueError):
+        build_probabilities(np.zeros((8, 8)))
+    with pytest.raises(ValueError):
+        build_probabilities(np.zeros((1, 8, 8)))
 
 
 @given(
@@ -300,11 +298,8 @@ def test_probabilities_require_matching_grids():
 )
 @settings(max_examples=40)
 def test_probability_axioms(seed, k):
-    grid = GridSpec(8)
     rng = np.random.default_rng(seed)
-    fields = [_field(grid, rng.uniform(-3, 3, (8, 8))) for _ in range(k)]
-    probs = build_probabilities(fields)
-    stack = np.stack([p.values for p in probs])
+    stack = build_probabilities(rng.uniform(-3, 3, (k, 8, 8)))
     assert np.abs(stack.sum(axis=0) - 1.0).max() <= 1e-9
     assert stack.min() >= -1e-12
     assert stack.max() <= 1.0 + 1e-12
@@ -313,15 +308,14 @@ def test_probability_axioms(seed, k):
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=20)
 def test_probabilities_permute_with_input_order(seed):
-    grid = GridSpec(8)
     rng = np.random.default_rng(seed)
-    fields = [_field(grid, rng.uniform(-2, 2, (8, 8))) for _ in range(3)]
+    fields = rng.uniform(-2, 2, (3, 8, 8))
+    rotated = build_probabilities(fields[[2, 0, 1]])  # fancy indexing copies
     direct = build_probabilities(fields)
-    rotated = build_probabilities([fields[2], fields[0], fields[1]])
     # the per-pixel sum accumulates in a different order, so allow roundoff
     for got, want in ((rotated[0], direct[2]), (rotated[1], direct[0]),
                       (rotated[2], direct[1])):
-        assert np.abs(got.values - want.values).max() <= 1e-12
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def _where_probabilities(stack):
@@ -341,7 +335,6 @@ def _where_probabilities(stack):
 )
 @settings(max_examples=60)
 def test_in_place_probabilities_are_bit_identical(seed, k, mesh, flat):
-    grid = GridSpec(mesh)
     rng = np.random.default_rng(seed)
     stack = rng.uniform(-3, 3, (k, mesh, mesh))
     low = stack.min()
@@ -351,17 +344,14 @@ def test_in_place_probabilities_are_bit_identical(seed, k, mesh, flat):
         i, j = rng.integers(mesh, size=2)
         stack[:, i, j] = low + rng.choice([0.0, 1e-14, 1e-13])
     want = _where_probabilities(stack)
-    got = np.stack([p.values for p in build_probabilities(
-        [_field(grid, stack[c].copy()) for c in range(k)])])
+    got = build_probabilities(stack.copy())
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_in_place_probabilities_all_equal_stack(k):
-    grid = GridSpec(8)
     stack = np.full((k, 8, 8), 0.7)
-    got = np.stack([p.values for p in build_probabilities(
-        [_field(grid, stack[c].copy()) for c in range(k)])])
+    got = build_probabilities(stack.copy())
     assert got.tobytes() == _where_probabilities(stack).tobytes()
 
 
@@ -411,12 +401,12 @@ def test_far_apart_two_point_classes():
     direct_b = smooth_density_direct(
         [(PixelIndex(0, 0), -1.0), (PixelIndex(31, 31), 1.0)], model.n_final, grid
     )
-    brute = build_probabilities([direct_a, direct_b])
-    assert brute[0].values[0, 0] > 0.5
-    assert brute[1].values[31, 31] > 0.5
+    brute = build_probabilities(np.stack([direct_a.values, direct_b.values]))
+    assert brute[0, 0, 0] > 0.5
+    assert brute[1, 31, 31] > 0.5
     # the spectral route applies the exact DFT of the sampled periodic
     # kernel, so the two routes agree to roundoff, far inside this bound
-    assert np.abs(brute[0].values - p_a).max() <= 1e-3
+    assert np.abs(brute[0] - p_a).max() <= 1e-3
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -461,16 +451,16 @@ def test_model_invariants_enforced():
     from fcdm.dataset import FeatureScaler
 
     scaler = FeatureScaler(0, 1, 0, 1)
-    bad = [_field(grid, np.full((8, 8), 0.6))] * 2  # sums to 1.2
+    bad = np.full((2, 8, 8), 0.6)  # sums to 1.2
     with pytest.raises(ValueError, match="sum"):
         ClassifierModel(
             labels=("A", "B"), grid=grid, scaler=scaler, n_final=3,
-            epsilon=0.01, probability_fields=bad,
+            epsilon=0.01, probabilities=bad,
         )
-    good = [_field(grid, np.full((8, 8), 0.5))] * 2
+    good = np.full((2, 8, 8), 0.5)
     with pytest.raises(ValueError, match="n_final"):
         ClassifierModel(
             labels=("A", "B"), grid=grid, scaler=scaler, n_final=3,
-            epsilon=0.01, probability_fields=good,
+            epsilon=0.01, probabilities=good,
             class_iterations={"A": 3, "B": 5},
         )
