@@ -39,10 +39,7 @@ def main(argv=None):
     print(f"dataset: {len(data)} points, {len(data.labels)} classes "
           f"({len(train_set)} train / {len(test_set)} test)")
 
-    config = fcdm.TrainConfig(
-        n_mesh=args.mesh, epsilon=args.epsilon, n_max=args.nmax,
-        test_fraction=args.test_fraction,
-    )
+    config = fcdm.TrainConfig(n_mesh=args.mesh, epsilon=args.epsilon, n_max=args.nmax)
     started = time.perf_counter()
     model = fcdm.train(train_set, config)
     elapsed = time.perf_counter() - started

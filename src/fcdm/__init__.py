@@ -28,23 +28,13 @@ from .model_io import (
     save_model,
 )
 from .render import class_palette, decision_ppm, probability_pgm
-from .spectral import (
-    FilterProfile,
-    SpectrumField,
-    dft2,
-    gaussian_filter_spectrum,
-    idft2,
-    smooth_density,
-    smooth_density_direct,
-    wrapped_frequencies,
-)
+from .spectral import half_spectrum, smooth_density, wrapped_frequencies
 from .trainer import (
     ClassifierModel,
     ConvergenceTrace,
     TrainConfig,
     build_probabilities,
     find_optimal_iteration,
-    pearson_correlation,
     train,
 )
 
@@ -55,38 +45,32 @@ __all__ = [
     "DensityField",
     "EvalReport",
     "FeatureScaler",
-    "FilterProfile",
     "GridSpec",
     "LabeledPoint",
     "ModelFormatError",
     "PixelIndex",
     "Prediction",
-    "SpectrumField",
     "TrainConfig",
     "apply_scaler",
     "build_probabilities",
     "class_palette",
     "decision_ppm",
-    "dft2",
     "evaluate",
     "find_optimal_iteration",
     "fit_scaler",
-    "gaussian_filter_spectrum",
     "generate_spirals",
-    "idft2",
+    "half_spectrum",
     "load_csv",
     "load_model",
     "map_to_pixel",
     "model_from_bytes",
     "model_to_bytes",
     "normalize_dataset",
-    "pearson_correlation",
     "predict",
     "probability_pgm",
     "rasterize_signed",
     "save_model",
     "smooth_density",
-    "smooth_density_direct",
     "split",
     "train",
     "wrapped_frequencies",

@@ -7,13 +7,12 @@ all classes is the largest of the per-class stops, which keeps every
 class at least as sharp as its own optimum.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import FeatureScaler, fit_scaler, normalize_dataset
-from .grid import DensityField, GridSpec, is_power_of_two, rasterize_signed
+from .grid import DensityField, GridSpec, rasterize_signed
 from .spectral import consecutive_correlations, half_spectrum, smooth_density
 
 # below this total shifted density a pixel carries no information and
@@ -28,23 +27,15 @@ class TrainConfig:
     n_mesh: int = 512
     epsilon: float = 0.01
     n_max: int = None
-    test_fraction: float = 0.25
 
     def __post_init__(self):
-        if not isinstance(self.n_mesh, int) or not is_power_of_two(self.n_mesh) or self.n_mesh < 8:
-            raise ValueError(
-                f"n_mesh must be a power of two >= 8, got {self.n_mesh!r}"
-            )
+        GridSpec(self.n_mesh)  # the mesh rule lives there; raises ValueError
         if self.n_max is None:
             self.n_max = self.n_mesh // 8
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.n_max < 4:
             raise ValueError(f"n_max must be at least 4, got {self.n_max}")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ValueError(
-                f"test_fraction must lie in (0, 1), got {self.test_fraction}"
-            )
 
 
 @dataclass
@@ -176,19 +167,18 @@ def stopping_rule(correlations, epsilon, n_max):
     return n_max, d2s, False
 
 
-def find_optimal_iteration(raster, epsilon, n_max, label="", spectrum=None):
-    """Run stopping_rule on the raster's correlation curve.
+def find_optimal_iteration(spectrum, epsilon, n_max, label=""):
+    """Run stopping_rule on a raster's correlation curve.
 
-    c(n) is the Pearson correlation of the raster smoothed at steps n and
-    n - 1. It is computed from the raster's spectrum by Parseval's theorem
-    (consecutive_correlations), so the search makes at most one forward
-    transform, none if spectrum = half_spectrum(raster) is passed, and no
-    inverse transform. Returns (n_k, trace).
+    spectrum is half_spectrum(raster). c(n) is the Pearson correlation of
+    the raster smoothed at steps n and n - 1, computed from the spectrum
+    by Parseval's theorem (consecutive_correlations), so the search makes
+    no transform at all. Returns (n_k, trace).
     """
     correlations = []
 
     def recorded():
-        for c in consecutive_correlations(raster, spectrum):
+        for c in consecutive_correlations(spectrum):
             correlations.append(c)
             yield c
 
@@ -227,10 +217,11 @@ def train(data, config=None):
     """Fit a classifier on a labeled dataset.
 
     Pipeline: fit the feature scaler, normalize onto the unit square,
-    rasterize each class one-vs-rest, transform each raster once, run the
-    per-class bandwidth search on its spectrum, cap every class at the
-    largest per-class stop n_final, smooth every spectrum there with one
-    inverse transform per class and normalize into probability fields.
+    rasterize each class one-vs-rest and transform each raster as soon as
+    it is built (only the spectra are kept), run the per-class bandwidth
+    search on each spectrum, cap every class at the largest per-class
+    stop n_final, smooth every spectrum there with one inverse transform
+    per class and normalize into probability fields.
     """
     if config is None:
         config = TrainConfig()
@@ -241,16 +232,15 @@ def train(data, config=None):
     scaler = fit_scaler(data)
     normalized = normalize_dataset(data, scaler)
     grid = GridSpec(n_mesh=config.n_mesh)
-    rasters = [rasterize_signed(normalized, lab, grid) for lab in data.labels]
-    spectra = [half_spectrum(r) for r in rasters]
+    spectra = [half_spectrum(rasterize_signed(normalized, lab, grid)) for lab in data.labels]
     traces = [
-        find_optimal_iteration(r, config.epsilon, config.n_max, label=lab, spectrum=s)[1]
-        for lab, r, s in zip(data.labels, rasters, spectra)
+        find_optimal_iteration(s, config.epsilon, config.n_max, label=lab)[1]
+        for lab, s in zip(data.labels, spectra)
     ]
     n_final = max(t.n_k for t in traces)
-    probs = np.empty((len(rasters), grid.n_mesh, grid.n_mesh))
-    for k, (r, s) in enumerate(zip(rasters, spectra)):
-        probs[k] = smooth_density(r, n_final, spectrum=s).values
+    probs = np.empty((len(spectra), grid.n_mesh, grid.n_mesh))
+    for k, s in enumerate(spectra):
+        probs[k] = smooth_density(s, n_final).values
     del spectra
     build_probabilities(probs)
     return ClassifierModel(

@@ -294,10 +294,10 @@ def test_saving_allocates_only_the_result():
     assert peak <= 1.01 * len(raw)
 
 
-def test_training_peak_stays_below_four_and_a_half_payloads():
+def test_training_peak_stays_below_three_and_a_half_payloads():
     data = generate_spirals(3, 100, [0.01, 0.015, 0.02], 1.75, 5)
     config = TrainConfig(n_mesh=256)
     model, peak = _traced_peak(lambda: train(data, config))
     payload = model.probabilities.nbytes
     assert payload == 3 * 256 * 256 * 8
-    assert peak < 4.5 * payload
+    assert peak < 3.5 * payload

@@ -6,16 +6,14 @@ import fcdm.spectral
 from fcdm.dataset import generate_spirals, fit_scaler, normalize_dataset
 from fcdm.grid import DensityField, GridSpec, PixelIndex, rasterize_signed
 from fcdm.spectral import (
-    SpectrumField,
-    dft2,
-    gaussian_filter_spectrum,
+    _transfer_function,
     consecutive_correlations,
-    idft2,
+    half_spectrum,
     smooth_density,
-    smooth_density_direct,
     wrapped_frequencies,
 )
 from fcdm.trainer import pearson_correlation
+from oracles import smooth, smooth_density_direct
 
 
 def naive_dft2(a):
@@ -39,36 +37,35 @@ def _random_field(grid, seed, low=-1.0, high=1.0):
     )
 
 
-# ---------------------------------------------------------------- dft2 / idft2
+# ------------------------------------------------------ rfft2 / irfft2
 
-def test_dft2_matches_naive_definition():
+def test_half_spectrum_matches_naive_definition():
     grid = GridSpec(8)
     field = _random_field(grid, 123)
-    expected = naive_dft2(field.values)
-    got = dft2(field).values
+    expected = naive_dft2(field.values)[:, :5]
+    got = half_spectrum(field).values
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_zero_field_has_zero_spectrum():
     grid = GridSpec(8)
-    spectrum = dft2(DensityField(grid=grid, values=np.zeros((8, 8))))
-    assert np.all(spectrum.values == 0)
+    spectrum = half_spectrum(DensityField(grid=grid, values=np.zeros((8, 8)))).values
+    assert np.all(spectrum == 0)
 
 
 def test_impulse_at_origin_has_flat_spectrum():
     grid = GridSpec(8)
     values = np.zeros((8, 8))
     values[0, 0] = 1.0
-    spectrum = dft2(DensityField(grid=grid, values=values))
-    assert np.abs(spectrum.values - 1.0).max() <= 1e-13
+    spectrum = half_spectrum(DensityField(grid=grid, values=values)).values
+    assert spectrum.shape == (8, 5)
+    assert np.abs(spectrum - 1.0).max() <= 1e-13
 
 
 def test_all_ones_spectrum_is_origin_impulse():
-    grid = GridSpec(8)
-    spectrum = SpectrumField(grid=grid, values=np.ones((8, 8), dtype=complex))
-    field = idft2(spectrum)
-    assert abs(field.values[0, 0] - 1.0) <= 1e-13
-    off_origin = field.values.copy()
+    field = np.fft.irfft2(np.ones((8, 5), dtype=complex), s=(8, 8))
+    assert abs(field[0, 0] - 1.0) <= 1e-13
+    off_origin = field.copy()
     off_origin[0, 0] = 0.0
     assert np.abs(off_origin).max() <= 1e-13
 
@@ -77,27 +74,21 @@ def test_round_trip_on_signed_raster():
     grid = GridSpec(16)
     rng = np.random.default_rng(7)
     values = rng.choice([-1.0, 0.0, 1.0], size=(16, 16))
-    back = idft2(dft2(DensityField(grid=grid, values=values)))
-    assert np.abs(back.values - values).max() <= 1e-12
+    back = np.fft.irfft2(half_spectrum(DensityField(grid=grid, values=values)).values, s=(16, 16))
+    assert np.abs(back - values).max() <= 1e-12
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25)
 def test_parseval(seed):
+    # on the half plane columns 1..N/2-1 also stand for their mirrors
     grid = GridSpec(16)
     field = _random_field(grid, seed)
-    spectrum = dft2(field)
+    power = np.abs(half_spectrum(field).values) ** 2
+    power[:, 1:8] *= 2.0
     spatial = float((field.values**2).sum())
-    spectral = float((np.abs(spectrum.values) ** 2).sum()) / grid.n_mesh**2
+    spectral = float(power.sum()) / grid.n_mesh**2
     assert abs(spatial - spectral) <= 1e-10 * max(spatial, 1.0)
-
-
-def test_idft2_rejects_asymmetric_spectrum():
-    grid = GridSpec(8)
-    values = np.zeros((8, 8), dtype=complex)
-    values[1, 2] = 1.0 + 1.0j  # no conjugate partner at (7, 6)
-    with pytest.raises(ValueError, match="symmetr"):
-        idft2(SpectrumField(grid=grid, values=values))
 
 
 def test_wrapped_frequency_layout():
@@ -108,47 +99,51 @@ def test_wrapped_frequency_layout():
 # ---------------------------------------------------------------- filter
 
 def test_filter_zero_frequency_value():
-    profile = gaussian_filter_spectrum(GridSpec(64), 1.0)
-    assert abs(profile.values[0, 0] - 1.0 / (2 * np.pi)) <= 1e-12
-    assert abs(profile.values[0, 0] - 0.15915494) <= 1e-7
+    transfer = _transfer_function(GridSpec(64), 1)
+    assert abs(transfer[0, 0] - 1.0 / (2 * np.pi)) <= 1e-12
+    assert abs(transfer[0, 0] - 0.15915494) <= 1e-7
 
 
 def test_filter_value_at_unit_exponent():
     # f1 = f2 = 1 gives exponent -(1+1)/2 = -1 at sigma_tilde = 1
-    profile = gaussian_filter_spectrum(GridSpec(64), 1.0)
+    transfer = _transfer_function(GridSpec(64), 1)
     expected = np.exp(-1.0) / (2 * np.pi)
-    assert abs(profile.values[1, 1] - expected) <= 1e-12
+    assert abs(transfer[1, 1] - expected) <= 1e-12
     assert abs(expected - 0.05854983) <= 1e-7
 
 
 @given(
-    sigma=st.floats(min_value=0.25, max_value=16.0),
+    n_iter=st.integers(min_value=1, max_value=16),
     exponent=st.integers(min_value=3, max_value=6),
 )
-def test_filter_even_symmetry(sigma, exponent):
+def test_filter_even_symmetry(n_iter, exponent):
+    # the rows carry every x2 frequency, so row f2 mirrors onto row -f2;
+    # the mirrors of columns 1..N/2-1 are not stored, and swapping f1 and
+    # f2 (transposing the square block) stands in for them
     n = 2**exponent
-    profile = gaussian_filter_spectrum(GridSpec(n), sigma).values
-    flipped = profile[(-np.arange(n)) % n][:, (-np.arange(n)) % n]
-    assert np.array_equal(profile, flipped)
+    transfer = _transfer_function(GridSpec(n), n_iter)
+    assert np.array_equal(transfer, transfer[(-np.arange(n)) % n])
+    block = transfer[: n // 2 + 1]
+    assert np.array_equal(block, block.T)
 
 
 def test_filter_rejects_nonpositive_sigma():
-    for bad in (0.0, -1.0):
+    for bad in (0, -1):
         with pytest.raises(ValueError):
-            gaussian_filter_spectrum(GridSpec(8), bad)
+            _transfer_function(GridSpec(8), bad)
 
 
 def test_filter_decreases_with_frequency():
-    profile = gaussian_filter_spectrum(GridSpec(32), 2.0).values
-    assert profile[0, 0] == profile.max()
-    assert profile[16, 16] == profile.min()  # the corner holds the extreme frequency
+    transfer = _transfer_function(GridSpec(32), 2)
+    assert transfer[0, 0] == transfer.max()
+    assert transfer[16, 16] == transfer.min()  # the corner holds the extreme frequency
 
 
 # ---------------------------------------------------------------- smoothing
 
 def test_smooth_zero_raster_is_zero():
     grid = GridSpec(32)
-    out = smooth_density(DensityField(grid=grid, values=np.zeros((32, 32))), 3)
+    out = smooth(DensityField(grid=grid, values=np.zeros((32, 32))), 3)
     assert np.abs(out.values).max() <= 1e-15
 
 
@@ -157,14 +152,14 @@ def test_smooth_rejects_bad_iteration():
     field = DensityField(grid=grid, values=np.zeros((8, 8)))
     for bad in (0, -1, 1.5):
         with pytest.raises(ValueError):
-            smooth_density(field, bad)
+            smooth(field, bad)
 
 
 def test_center_impulse_matches_gaussian_bump():
     grid = GridSpec(64)
     values = np.zeros((64, 64))
     values[32, 32] = 1.0
-    out = smooth_density(DensityField(grid=grid, values=values), 2)
+    out = smooth(DensityField(grid=grid, values=values), 2)
     direct = smooth_density_direct([(PixelIndex(32, 32), 1.0)], 2, grid)
     bound = 1e-4 * np.abs(direct.values).max()
     assert np.abs(out.values - direct.values).max() <= bound
@@ -185,7 +180,7 @@ def test_single_impulse_matches_direct_route(n_mesh, n_iter):
     grid = GridSpec(n_mesh)
     values = np.zeros((n_mesh, n_mesh))
     values[0, 0] = 1.0
-    out = smooth_density(DensityField(grid=grid, values=values), n_iter)
+    out = smooth(DensityField(grid=grid, values=values), n_iter)
     direct = smooth_density_direct([(PixelIndex(0, 0), 1.0)], n_iter, grid)
     bound = 1e-4 * np.abs(direct.values).max()
     assert np.abs(out.values - direct.values).max() <= bound
@@ -204,7 +199,7 @@ def test_twenty_random_impulses_match_direct_route():
         values[pix.i, pix.j] = s
     raster = DensityField(grid=grid, values=values)
     for n in (1, 2, 3, 4):
-        fft_route = smooth_density(raster, n)
+        fft_route = smooth(raster, n)
         direct = smooth_density_direct(impulses, n, grid)
         bound = 1e-4 * np.abs(direct.values).max()
         assert np.abs(fft_route.values - direct.values).max() <= bound
@@ -228,11 +223,12 @@ def test_uneven_transfer_function_rejected(monkeypatch):
         return axis
 
     monkeypatch.setattr(fcdm.spectral, "_aliased_gaussian", uneven)
-    field = _random_field(GridSpec(16), 3)
+    grid = GridSpec(16)
+    spectrum = half_spectrum(_random_field(grid, 3))
     with pytest.raises(ValueError, match="even"):
-        smooth_density(field, 2)
+        smooth_density(spectrum, 2)
     with pytest.raises(ValueError, match="even"):
-        next(consecutive_correlations(field))
+        next(consecutive_correlations(spectrum))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),
@@ -243,8 +239,8 @@ def test_smoothing_is_linear(seed, n_iter):
     a = _random_field(grid, seed)
     b = _random_field(grid, seed + 1)
     combined = DensityField(grid=grid, values=a.values + b.values)
-    lhs = smooth_density(combined, n_iter).values
-    rhs = smooth_density(a, n_iter).values + smooth_density(b, n_iter).values
+    lhs = smooth(combined, n_iter).values
+    rhs = smooth(a, n_iter).values + smooth(b, n_iter).values
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -257,9 +253,9 @@ def test_smoothing_commutes_with_cyclic_shifts(di, dj):
     grid = GridSpec(16)
     field = _random_field(grid, 99)
     n_iter = 2
-    smoothed = smooth_density(field, n_iter).values
+    smoothed = smooth(field, n_iter).values
     shifted_in = DensityField(grid=grid, values=np.roll(field.values, (di, dj), (0, 1)))
-    lhs = smooth_density(shifted_in, n_iter).values
+    lhs = smooth(shifted_in, n_iter).values
     rhs = np.roll(smoothed, (di, dj), (0, 1))
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(smoothed).max())
 
@@ -272,6 +268,6 @@ def test_correlation_with_raster_grows_with_bandwidth():
     grid = GridSpec(64)
     raster = rasterize_signed(normalized, "c0", grid)
     corrs = [
-        pearson_correlation(smooth_density(raster, n), raster) for n in range(1, 9)
+        pearson_correlation(smooth(raster, n), raster) for n in range(1, 9)
     ]
     assert all(b >= a for a, b in zip(corrs, corrs[1:]))

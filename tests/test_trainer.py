@@ -7,7 +7,7 @@ import fcdm.trainer
 from fcdm.dataset import Dataset, LabeledPoint, generate_spirals, split
 from fcdm.grid import DensityField, GridSpec, PixelIndex
 from fcdm.model_io import model_to_bytes
-from fcdm.spectral import smooth_density, smooth_density_direct
+from fcdm.spectral import half_spectrum
 from fcdm.trainer import (
     ClassifierModel,
     TrainConfig,
@@ -17,6 +17,7 @@ from fcdm.trainer import (
     stopping_rule,
     train,
 )
+from oracles import smooth, smooth_density_direct
 
 
 # ---------------------------------------------------------------- config
@@ -26,7 +27,6 @@ def test_config_defaults():
     assert config.n_mesh == 512
     assert config.epsilon == 0.01
     assert config.n_max == 64  # n_mesh / 8
-    assert config.test_fraction == 0.25
 
 
 def test_config_nmax_follows_mesh():
@@ -40,8 +40,8 @@ def test_config_validation():
         TrainConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         TrainConfig(n_max=3)
-    with pytest.raises(ValueError):
-        TrainConfig(test_fraction=1.0)
+    with pytest.raises(ValueError, match="power of two"):
+        TrainConfig(n_mesh=4)
     with pytest.raises(ValueError):
         TrainConfig(n_mesh=16)  # default n_max would be 2
 
@@ -160,8 +160,9 @@ def test_threshold_never_met_returns_cap_with_flag():
     from fcdm.grid import rasterize_signed
 
     normalized = normalize_dataset(data, fit_scaler(data))
-    raster = rasterize_signed(normalized, "c0", GridSpec(32))
-    n_k, trace = find_optimal_iteration(raster, 1e-12, 6, label="c0")
+    grid = GridSpec(32)
+    raster = rasterize_signed(normalized, "c0", grid)
+    n_k, trace = find_optimal_iteration(half_spectrum(raster), 1e-12, 6, label="c0")
     assert n_k == 6
     assert not trace.converged
     # searched every center 3..5: c(2)..c(6) plus three second differences
@@ -171,11 +172,12 @@ def test_threshold_never_met_returns_cap_with_flag():
 
 
 def test_search_validates_arguments():
-    raster = DensityField(grid=GridSpec(8), values=np.eye(8))
+    grid = GridSpec(8)
+    spectrum = half_spectrum(DensityField(grid=grid, values=np.eye(8)))
     with pytest.raises(ValueError):
-        find_optimal_iteration(raster, 0.0, 8)
+        find_optimal_iteration(spectrum, 0.0, 8)
     with pytest.raises(ValueError):
-        find_optimal_iteration(raster, 0.01, 3)
+        find_optimal_iteration(spectrum, 0.01, 3)
 
 
 def test_trace_index_helpers():
@@ -184,8 +186,9 @@ def test_trace_index_helpers():
     from fcdm.grid import rasterize_signed
 
     normalized = normalize_dataset(data, fit_scaler(data))
-    raster = rasterize_signed(normalized, "c1", GridSpec(64))
-    n_k, trace = find_optimal_iteration(raster, 0.01, 8, label="c1")
+    grid = GridSpec(64)
+    raster = rasterize_signed(normalized, "c1", grid)
+    n_k, trace = find_optimal_iteration(half_spectrum(raster), 0.01, 8, label="c1")
     assert trace.label == "c1"
     assert trace.correlation_at(2) == trace.correlations[0]
     if trace.converged:
@@ -200,12 +203,12 @@ def _spatial_search(raster, epsilon, n_max):
     """The search as it ran before the spectral route: smooth every step
     and correlate consecutive fields in the pixel domain. Kept as the
     reference the spectral search must reproduce."""
-    prev = smooth_density(raster, 1)
-    cur = smooth_density(raster, 2)
+    prev = smooth(raster, 1)
+    cur = smooth(raster, 2)
     corr = [pearson_correlation(cur, prev)]
     d2s = []
     for n in range(3, n_max + 1):
-        prev, cur = cur, smooth_density(raster, n)
+        prev, cur = cur, smooth(raster, n)
         corr.append(pearson_correlation(cur, prev))
         if len(corr) < 3:
             continue
@@ -232,7 +235,7 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
     raster = DensityField(grid=grid, values=np.where(occupied, signs, 0.0))
     n_max = max(4, mesh // 8)
     n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, epsilon, n_max)
-    n_k, trace = find_optimal_iteration(raster, epsilon, n_max)
+    n_k, trace = find_optimal_iteration(half_spectrum(raster), epsilon, n_max)
     assert n_k == n_ref
     assert trace.converged == conv_ref
     assert len(trace.correlations) == len(corr_ref)
@@ -242,11 +245,12 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
 
 @pytest.mark.parametrize("mesh", [8, 32, 128])
 def test_constant_raster_rejected_by_both_searches(mesh):
-    raster = DensityField(grid=GridSpec(mesh), values=np.ones((mesh, mesh)))
+    grid = GridSpec(mesh)
+    raster = DensityField(grid=grid, values=np.ones((mesh, mesh)))
     with pytest.raises(ValueError, match="constant"):
         _spatial_search(raster, 0.01, 4)
     with pytest.raises(ValueError, match="constant"):
-        find_optimal_iteration(raster, 0.01, 4)
+        find_optimal_iteration(half_spectrum(raster), 0.01, 4)
 
 
 # ---------------------------------------------------- build_probabilities
