@@ -9,7 +9,6 @@ probability fields that classify by argmax lookup.
 from .dataset import (
     Dataset,
     FeatureScaler,
-    LabeledPoint,
     apply_scaler,
     fit_scaler,
     generate_spirals,
@@ -18,7 +17,7 @@ from .dataset import (
     split,
     write_csv,
 )
-from .grid import DensityField, GridSpec, PixelIndex, map_to_pixel, rasterize_signed
+from .grid import DensityField, GridSpec, map_to_pixel, rasterize_signed
 from .inference import EvalReport, Prediction, evaluate, predict
 from .model_io import (
     ModelFormatError,
@@ -46,9 +45,7 @@ __all__ = [
     "EvalReport",
     "FeatureScaler",
     "GridSpec",
-    "LabeledPoint",
     "ModelFormatError",
-    "PixelIndex",
     "Prediction",
     "TrainConfig",
     "apply_scaler",

@@ -127,44 +127,19 @@ def _cmd_train(args):
     return 0
 
 
-def _read_points_csv(path, has_header):
-    """Rows of x1,x2[,extra]; returns a list of coordinate pairs."""
-    points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) not in (2, 3):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 2 or 3 fields, got {len(row)}"
-                )
-            try:
-                x1, x2 = float(row[0]), float(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: cannot parse coordinates "
-                    f"{row[0]!r}, {row[1]!r}"
-                ) from None
-            if math.isnan(x1) or math.isnan(x2):
-                raise ValueError(f"{path}: line {line_no}: NaN coordinate")
-            points.append((x1, x2))
-    if not points:
-        raise ValueError(f"{path}: no points found")
-    return points
-
-
 def _cmd_predict(args):
     model = load_model(args.model)
-    points = _read_points_csv(args.input, args.header)
     rows = []
-    for x1, x2 in points:
+    # infinite coordinates are fine: predict clamps them to the boundary pixel
+    for line_no, x1, x2, _ in ds._csv_rows(args.input, args.header, (2, 3)):
+        if math.isnan(x1) or math.isnan(x2):
+            raise ValueError(f"{args.input}: line {line_no}: NaN coordinate")
         pred = predict(model, (x1, x2))
         rows.append(
             [repr(x1), repr(x2), pred.label] + [repr(p) for p in pred.probabilities]
         )
+    if not rows:
+        raise ValueError(f"{args.input}: no points found")
     if args.out == "-":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(rows)

@@ -1,4 +1,10 @@
-"""Labeled 2-feature point sets: CSV ingestion, synthetic spirals, scaling, splits."""
+"""Labeled 2-feature point sets in arrays: CSV ingestion, spirals, scaling, splits.
+
+A Dataset is columnar: an (n, 2) float64 coordinate array, an (n,) intp
+array of class codes indexing the label vocabulary, and the vocabulary
+itself. Generation, scaling, counting and splitting work on whole
+arrays; the only per-point Python loops read and write CSV rows.
+"""
 
 import csv
 import math
@@ -7,66 +13,62 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A single observation: two real features and a class label."""
-
-    x1: float
-    x2: float
-    label: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ValueError(
-                f"point coordinates must be finite, got ({self.x1}, {self.x2})"
-            )
-        if not self.label:
-            raise ValueError("point label must be a non-empty string")
+def _readonly(values, dtype):
+    out = np.array(values, dtype=dtype)  # a copy: no outside view can change it later
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of points plus the label vocabulary.
+    """Labeled points: coords[r] = (x1, x2) is a point of class labels[codes[r]].
 
     The vocabulary fixes the class order used everywhere downstream
-    (rasters, probability fields, confusion matrices). Treat instances
-    as immutable.
+    (rasters, probability fields, confusion matrices). Both arrays are
+    read-only copies of what was passed in; coordinates must be finite.
     """
 
-    points: tuple
+    coords: np.ndarray
+    codes: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        coords = _readonly(self.coords, np.float64)
+        codes = _readonly(self.codes, np.intp)
+        labels = tuple(self.labels)
+        if len(set(labels)) != len(labels):
             raise ValueError("label vocabulary contains duplicates")
-        if len(self.labels) < 2:
-            raise ValueError(f"need at least 2 classes, got {len(self.labels)}")
-        vocab = set(self.labels)
-        for p in self.points:
-            if p.label not in vocab:
-                raise ValueError(f"point label {p.label!r} missing from vocabulary")
+        if len(labels) < 2:
+            raise ValueError(f"need at least 2 classes, got {len(labels)}")
+        if not all(labels):
+            raise ValueError("point label must be a non-empty string")
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"coords must have shape (n, 2), got {coords.shape}")
+        if codes.shape != (len(coords),):
+            raise ValueError(f"got {codes.size} codes for {len(coords)} points")
+        if not np.isfinite(coords).all():
+            raise ValueError("point coordinates must be finite")
+        outside = codes[(codes < 0) | (codes >= len(labels))]
+        if outside.size:
+            raise ValueError(f"point label code {outside[0]} missing from vocabulary")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.codes)
 
     def xy(self):
-        """Feature matrix of shape (n_points, 2), float64."""
-        out = np.empty((len(self.points), 2), dtype=np.float64)
-        for row, p in enumerate(self.points):
-            out[row, 0] = p.x1
-            out[row, 1] = p.x2
-        return out
+        """Alias of coords."""
+        return self.coords
 
     def label_indices(self):
-        """Per-point index into the vocabulary, shape (n_points,)."""
-        lut = {lab: k for k, lab in enumerate(self.labels)}
-        return np.array([lut[p.label] for p in self.points], dtype=np.intp)
+        """Alias of codes."""
+        return self.codes
 
     def class_counts(self):
-        counts = {lab: 0 for lab in self.labels}
-        for p in self.points:
-            counts[p.label] += 1
-        return counts
+        counts = np.bincount(self.codes, minlength=len(self.labels))
+        return dict(zip(self.labels, counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,8 @@ def fit_scaler(data):
     """
     if len(data) == 0:
         raise ValueError("cannot fit a scaler to an empty dataset")
-    xy = data.xy()
-    min1, min2 = xy.min(axis=0)
-    max1, max2 = xy.max(axis=0)
+    min1, min2 = data.coords.min(axis=0)
+    max1, max2 = data.coords.max(axis=0)
     if max1 <= min1:
         raise ValueError(f"feature x1 is constant (= {min1}); cannot scale")
     if max2 <= min2:
@@ -123,12 +124,7 @@ def apply_scaler(points, scaler):
 
 def normalize_dataset(data, scaler):
     """Return a copy of the dataset with coordinates pushed through the scaler."""
-    xy = apply_scaler(data.xy(), scaler)
-    pts = tuple(
-        LabeledPoint(float(xy[k, 0]), float(xy[k, 1]), p.label)
-        for k, p in enumerate(data.points)
-    )
-    return Dataset(points=pts, labels=data.labels)
+    return Dataset(apply_scaler(data.coords, scaler), data.codes, data.labels)
 
 
 def _gaussian_pairs(rng, n):
@@ -162,24 +158,22 @@ def generate_spirals(n_classes, n_per_class, noise_sigmas, turns, seed):
         raise ValueError(f"need at least 1 point per class, got {n_per_class}")
     sigmas = [float(s) for s in noise_sigmas]
     if len(sigmas) != n_classes:
-        raise ValueError(
-            f"got {len(sigmas)} noise sigmas for {n_classes} classes"
-        )
+        raise ValueError(f"got {len(sigmas)} noise sigmas for {n_classes} classes")
     if any(s < 0 for s in sigmas):
         raise ValueError("noise sigmas must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    labels = tuple(f"c{k}" for k in range(n_classes))
-    pts = []
+    coords = np.empty((n_classes, n_per_class, 2))
     for k, sigma in enumerate(sigmas):
         t = 0.2 + 0.8 * rng.random(n_per_class)
         g1, g2 = _gaussian_pairs(rng, n_per_class)
         angle = 2.0 * np.pi * turns * t + 2.0 * np.pi * k / n_classes
-        x1 = 0.5 + 0.45 * t * np.cos(angle) + sigma * g1
-        x2 = 0.5 + 0.45 * t * np.sin(angle) + sigma * g2
-        pts.extend(
-            LabeledPoint(float(a), float(b), labels[k]) for a, b in zip(x1, x2)
-        )
-    return Dataset(points=tuple(pts), labels=labels)
+        coords[k, :, 0] = 0.5 + 0.45 * t * np.cos(angle) + sigma * g1
+        coords[k, :, 1] = 0.5 + 0.45 * t * np.sin(angle) + sigma * g2
+    return Dataset(
+        coords=coords.reshape(-1, 2),
+        codes=np.repeat(np.arange(n_classes), n_per_class),
+        labels=tuple(f"c{k}" for k in range(n_classes)),
+    )
 
 
 def split(data, test_fraction, seed):
@@ -197,26 +191,48 @@ def split(data, test_fraction, seed):
     if len(data) == 0:
         raise ValueError("cannot split an empty dataset")
     rng = np.random.Generator(np.random.PCG64(seed))
-    by_class = {lab: [] for lab in data.labels}
-    for p in data.points:
-        by_class[p.label].append(p)
-    train_pts, test_pts = [], []
-    for lab in data.labels:
-        members = by_class[lab]
+    train_rows, test_rows = [], []
+    for k, lab in enumerate(data.labels):
+        members = np.flatnonzero(data.codes == k)
         m = len(members)
         if m < 2:
-            raise ValueError(
-                f"class {lab!r} has {m} point(s); need at least 2 to stratify"
-            )
+            raise ValueError(f"class {lab!r} has {m} point(s); need at least 2 to stratify")
         perm = rng.permutation(m)
         n_train = int(math.floor((1.0 - test_fraction) * m + 0.5))
         n_train = min(max(n_train, 1), m - 1)
-        train_pts.extend(members[i] for i in perm[:n_train])
-        test_pts.extend(members[i] for i in perm[n_train:])
-    return (
-        Dataset(points=tuple(train_pts), labels=data.labels),
-        Dataset(points=tuple(test_pts), labels=data.labels),
+        train_rows.append(members[perm[:n_train]])
+        test_rows.append(members[perm[n_train:]])
+    return tuple(
+        Dataset(data.coords[rows], data.codes[rows], data.labels)
+        for rows in (np.concatenate(train_rows), np.concatenate(test_rows))
     )
+
+
+def _csv_rows(path, has_header, field_counts):
+    """Yield (line_no, x1, x2, row) for each non-blank CSV row.
+
+    line_no is 1-based and counts a skipped header. A field count not in
+    field_counts or unparsable coordinates raise ValueError naming the line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if has_header and line_no == 1:
+                continue
+            if not row or all(not field.strip() for field in row):
+                continue
+            if len(row) not in field_counts:
+                raise ValueError(
+                    f"{path}: line {line_no}: expected "
+                    f"{' or '.join(map(str, field_counts))} fields, got {len(row)}"
+                )
+            try:
+                x1, x2 = float(row[0]), float(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {line_no}: cannot parse coordinates "
+                    f"{row[0]!r}, {row[1]!r}"
+                ) from None
+            yield line_no, x1, x2, row
 
 
 def load_csv(path, has_header=False):
@@ -227,49 +243,23 @@ def load_csv(path, has_header=False):
     1-based line number. The vocabulary is the labels in order of first
     appearance.
     """
-    points = []
-    labels = []
-    seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 3 fields, got {len(row)}"
-                )
-            try:
-                x1 = float(row[0])
-                x2 = float(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: cannot parse coordinates "
-                    f"{row[0]!r}, {row[1]!r}"
-                ) from None
-            if not (math.isfinite(x1) and math.isfinite(x2)):
-                raise ValueError(
-                    f"{path}: line {line_no}: coordinates must be finite"
-                )
-            label = row[2].strip()
-            if not label:
-                raise ValueError(f"{path}: line {line_no}: empty label")
-            if label not in seen:
-                seen.add(label)
-                labels.append(label)
-            points.append(LabeledPoint(x1, x2, label))
-    if len(labels) < 2:
-        raise ValueError(
-            f"{path}: need at least 2 classes, found {len(labels)}"
-        )
-    return Dataset(points=tuple(points), labels=tuple(labels))
+    coords, codes, vocab = [], [], {}
+    for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise ValueError(f"{path}: line {line_no}: coordinates must be finite")
+        label = row[2].strip()
+        if not label:
+            raise ValueError(f"{path}: line {line_no}: empty label")
+        coords.append((x1, x2))
+        codes.append(vocab.setdefault(label, len(vocab)))
+    if len(vocab) < 2:
+        raise ValueError(f"{path}: need at least 2 classes, found {len(vocab)}")
+    return Dataset(coords=coords, codes=codes, labels=tuple(vocab))
 
 
 def write_csv(data, path):
     """Write x1,x2,label rows (no header, LF line endings, repr precision)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for p in data.points:
-            writer.writerow([repr(p.x1), repr(p.x2), p.label])
+        for (x1, x2), code in zip(data.coords.tolist(), data.codes.tolist()):
+            writer.writerow([repr(x1), repr(x2), data.labels[code]])

@@ -12,7 +12,7 @@ def is_power_of_two(n):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square mesh with n_mesh pixels per axis over [0, L)^2.
+    """Square mesh with n_mesh pixels per axis over [0, L)^2, L = domain_width = 1.
 
     n_mesh must be a power of two (at least 8) so the mesh is compatible
     with radix-2 transforms. Pixel (i, j) covers
@@ -21,15 +21,13 @@ class GridSpec:
     """
 
     n_mesh: int
-    domain_width: float = 1.0
+    domain_width = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n_mesh, int) or not is_power_of_two(self.n_mesh) or self.n_mesh < 8:
             raise ValueError(
                 f"n_mesh must be a power of two >= 8, got {self.n_mesh!r}"
             )
-        if not (self.domain_width > 0 and math.isfinite(self.domain_width)):
-            raise ValueError(f"domain_width must be positive, got {self.domain_width}")
 
     @property
     def pixel_size(self):
@@ -38,18 +36,6 @@ class GridSpec:
     def pixel_centers(self):
         """1D array of pixel-center coordinates along either axis."""
         return (np.arange(self.n_mesh) + 0.5) * self.pixel_size
-
-
-@dataclass(frozen=True)
-class PixelIndex:
-    """Row/column address on a grid: i indexes x2, j indexes x1."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"pixel indices must be nonnegative, got ({self.i}, {self.j})")
 
 
 @dataclass
@@ -71,7 +57,7 @@ class DensityField:
 
 
 def map_to_pixel(point, grid):
-    """Locate the pixel containing a point; out-of-range points clamp to the edge.
+    """The (i, j) pixel containing a point; out-of-range points clamp to the edge.
 
     The first coordinate (x1) selects the column j, the second (x2) the
     row i: index = clamp(floor(x / dx), 0, n_mesh - 1). NaN coordinates
@@ -84,7 +70,7 @@ def map_to_pixel(point, grid):
     # clamp before floor so even infinite coordinates stay on the grid
     j = int(math.floor(min(max(x1 * n / grid.domain_width, 0.0), n - 1.0)))
     i = int(math.floor(min(max(x2 * n / grid.domain_width, 0.0), n - 1.0)))
-    return PixelIndex(i=i, j=j)
+    return i, j
 
 
 def _pixel_rows_cols(xy, grid):
@@ -106,9 +92,8 @@ def rasterize_signed(data, target_class, grid):
     """
     if target_class not in data.labels:
         raise ValueError(f"target class {target_class!r} not in vocabulary")
-    xy = data.xy()
-    i, j = _pixel_rows_cols(xy, grid)
-    is_target = np.array([p.label == target_class for p in data.points], dtype=bool)
+    i, j = _pixel_rows_cols(data.coords, grid)
+    is_target = data.codes == data.labels.index(target_class)
     values = np.zeros((grid.n_mesh, grid.n_mesh), dtype=np.float64)
     values[i[~is_target], j[~is_target]] = -1.0
     # written last so shared pixels resolve to the target class

@@ -11,11 +11,11 @@ from .grid import map_to_pixel
 
 @dataclass(frozen=True)
 class Prediction:
-    """Argmax outcome for one point: label, per-class probabilities, pixel hit."""
+    """Argmax outcome for one point: label, per-class probabilities, (i, j) pixel."""
 
     label: str
     probabilities: tuple
-    pixel: object
+    pixel: tuple
 
 
 @dataclass
@@ -59,13 +59,13 @@ def predict(model, point):
     scaled = apply_scaler(np.array([[x1, x2]]), model.scaler)[0]
     u = min(max(float(scaled[0]), 0.0), 1.0)
     v = min(max(float(scaled[1]), 0.0), 1.0)
-    pixel = map_to_pixel((u, v), model.grid)
-    probs = tuple(model.probabilities[:, pixel.i, pixel.j].tolist())
+    i, j = map_to_pixel((u, v), model.grid)
+    probs = tuple(model.probabilities[:, i, j].tolist())
     best = 0
     for k in range(1, len(probs)):
         if probs[k] > probs[best]:
             best = k
-    return Prediction(label=model.labels[best], probabilities=probs, pixel=pixel)
+    return Prediction(label=model.labels[best], probabilities=probs, pixel=(i, j))
 
 
 def evaluate(model, data):
@@ -79,10 +79,11 @@ def evaluate(model, data):
         )
     k = len(model.labels)
     index = {lab: i for i, lab in enumerate(model.labels)}
+    truth = [index[lab] for lab in data.labels]
     confusion = np.zeros((k, k), dtype=np.int64)
-    for p in data.points:
-        pred = predict(model, (p.x1, p.x2))
-        confusion[index[p.label], index[pred.label]] += 1
+    for point, code in zip(data.coords.tolist(), data.codes.tolist()):
+        pred = predict(model, point)
+        confusion[truth[code], index[pred.label]] += 1
     row_sums = confusion.sum(axis=1)
     present = row_sums > 0
     recall = np.zeros(k, dtype=np.float64)

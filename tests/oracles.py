@@ -15,17 +15,10 @@ def smooth(field, n_iter):
     return smooth_density(half_spectrum(field), n_iter)
 
 
-def _unpack_pixel(p):
-    if hasattr(p, "i") and hasattr(p, "j"):
-        return int(p.i), int(p.j)
-    i, j = p
-    return int(i), int(j)
-
-
 def smooth_density_direct(impulses, n_iter, grid):
     """Brute-force reference for smooth_density, O(points * N^2).
 
-    Takes the raster as a sparse list of (pixel, sign) impulses and sums
+    Takes the raster as a sparse list of ((i, j), sign) impulses and sums
     the spatial Gaussian kernel dx^2 * exp(-2 pi^2 sigma_tilde^2 r^2)
     directly, over the 3x3 block of periodic images so the circularity of
     the spectral route is reproduced. Images farther out are left out,
@@ -43,8 +36,7 @@ def smooth_density_direct(impulses, n_iter, grid):
     X2 = centers[:, np.newaxis]  # row coordinate (x2)
     out = np.zeros((grid.n_mesh, grid.n_mesh), dtype=np.float64)
     coef = 2.0 * np.pi * np.pi * st * st
-    for pixel, sign in impulses:
-        i, j = _unpack_pixel(pixel)
+    for (i, j), sign in impulses:
         c1 = (j + 0.5) * dx
         c2 = (i + 0.5) * dx
         acc = np.zeros_like(out)

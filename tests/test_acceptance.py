@@ -15,7 +15,7 @@ import pytest
 
 import fcdm
 from fcdm import cli
-from fcdm.grid import DensityField, GridSpec, PixelIndex
+from fcdm.grid import DensityField, GridSpec
 from fcdm.spectral import half_spectrum, smooth_density
 from oracles import smooth_density_direct
 
@@ -31,12 +31,12 @@ def test_criterion_1_spectral_route_matches_brute_force(n_mesh, n_iter):
     flat = rng.choice(n_mesh * n_mesh, size=32, replace=False)
     signs = rng.choice([-1.0, 1.0], size=32)
     impulses = [
-        (PixelIndex(int(f) // n_mesh, int(f) % n_mesh), s)
+        ((int(f) // n_mesh, int(f) % n_mesh), s)
         for f, s in zip(flat, signs)
     ]
     values = np.zeros((n_mesh, n_mesh))
-    for pix, s in impulses:
-        values[pix.i, pix.j] = s
+    for (i, j), s in impulses:
+        values[i, j] = s
     fft_route = smooth_density(
         half_spectrum(DensityField(grid=grid, values=values)), n_iter
     )

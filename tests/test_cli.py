@@ -207,6 +207,54 @@ def test_predict_malformed_input_is_runtime_error(workspace, tmp_path):
     assert code == 1
 
 
+def _predict_rows(workspace, tmp_path, text, *extra):
+    inp = tmp_path / "in.csv"
+    inp.write_text(text)
+    code, out = _run([
+        "predict", "--model", str(workspace["model"]), "--input", str(inp), *extra,
+    ])
+    return code, [row.split(",") for row in out.strip().splitlines()]
+
+
+def test_predict_mixes_two_and_three_column_rows(workspace, tmp_path):
+    code, rows = _predict_rows(workspace, tmp_path, "0.5,0.5\n\n0.2,0.8,c1\n")
+    assert code == 0
+    assert [r[:2] for r in rows] == [["0.5", "0.5"], ["0.2", "0.8"]]
+
+
+def test_predict_rejects_other_field_counts(workspace, tmp_path, capsys):
+    code, _ = _predict_rows(workspace, tmp_path, "x1,x2\n0.5,0.5\n0.1,0.2,c0,9\n",
+                            "--header")
+    assert code == 1
+    assert "line 3: expected 2 or 3 fields, got 4" in capsys.readouterr().err
+
+
+def test_predict_rejects_nan_coordinate(workspace, tmp_path, capsys):
+    code, _ = _predict_rows(workspace, tmp_path, "0.5,0.5\n0.1,nan\n")
+    assert code == 1
+    assert "line 2: NaN coordinate" in capsys.readouterr().err
+
+
+def test_predict_rejects_unparsable_coordinate(workspace, tmp_path, capsys):
+    code, _ = _predict_rows(workspace, tmp_path, "0.5,abc\n")
+    assert code == 1
+    assert "line 1: cannot parse coordinates '0.5', 'abc'" in capsys.readouterr().err
+
+
+def test_predict_rejects_file_without_points(workspace, tmp_path, capsys):
+    code, _ = _predict_rows(workspace, tmp_path, "\n\n")
+    assert code == 1
+    assert "no points found" in capsys.readouterr().err
+
+
+def test_predict_clamps_infinite_coordinates(workspace, tmp_path):
+    # +-inf reads the boundary pixel, exactly like a far-out finite point
+    code, rows = _predict_rows(workspace, tmp_path, "inf,-inf\n1e300,-1e300\n-inf,inf\n")
+    assert code == 0
+    assert [r[:2] for r in rows] == [["inf", "-inf"], ["1e+300", "-1e+300"], ["-inf", "inf"]]
+    assert rows[0][2:] == rows[1][2:]
+
+
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_self_macro_recall(default_workspace):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 from fcdm.dataset import (
     Dataset,
     FeatureScaler,
-    LabeledPoint,
     apply_scaler,
     fit_scaler,
     generate_spirals,
@@ -30,8 +30,8 @@ def test_load_two_points(tmp_path):
     data = load_csv(_write(tmp_path, "0.1,0.2,A\n0.3,0.4,B\n"))
     assert len(data) == 2
     assert data.labels == ("A", "B")
-    assert data.points[0] == LabeledPoint(0.1, 0.2, "A")
-    assert data.points[1] == LabeledPoint(0.3, 0.4, "B")
+    assert data.coords.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert data.codes.tolist() == [0, 1]
 
 
 def test_load_non_numeric_feature_names_line(tmp_path):
@@ -77,7 +77,9 @@ def test_write_then_load_round_trip(tmp_path):
     write_csv(data, path)
     back = load_csv(path)
     assert back.labels == data.labels
-    assert back.points == data.points  # repr() precision preserves floats
+    # repr() precision preserves floats bit for bit
+    assert back.coords.tobytes() == data.coords.tobytes()
+    assert np.array_equal(back.codes, data.codes)
 
 
 def test_vocabulary_order_is_first_appearance(tmp_path):
@@ -86,40 +88,61 @@ def test_vocabulary_order_is_first_appearance(tmp_path):
 
 
 def test_dataset_rejects_unknown_point_label():
-    with pytest.raises(ValueError, match="missing from vocabulary"):
-        Dataset(points=(LabeledPoint(0, 1, "C"),), labels=("A", "B"))
+    for code in (2, -1):
+        with pytest.raises(ValueError, match="missing from vocabulary"):
+            Dataset(coords=[(0, 1)], codes=[code], labels=("A", "B"))
 
 
-def test_labeled_point_rejects_nan():
+def test_dataset_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        for point in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                Dataset(coords=[(0.5, 0.5), point], codes=[0, 1], labels=("A", "B"))
+
+
+def test_dataset_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="2 codes for 1 points"):
+        Dataset(coords=[(0.1, 0.2)], codes=[0, 1], labels=("A", "B"))
+    with pytest.raises(ValueError, match="shape"):
+        Dataset(coords=[0.1, 0.2], codes=[0, 1], labels=("A", "B"))
+
+
+def test_dataset_rejects_empty_label():
+    with pytest.raises(ValueError, match="non-empty"):
+        Dataset(coords=[(0.1, 0.2)], codes=[0], labels=("A", ""))
+
+
+def test_dataset_arrays_are_read_only_copies():
+    coords = np.array([[0.1, 0.2], [0.3, 0.4]])
+    codes = np.array([0, 1])
+    data = Dataset(coords=coords, codes=codes, labels=["A", "B"])
+    assert data.labels == ("A", "B")
+    assert data.coords.dtype == np.float64 and data.codes.dtype == np.intp
+    assert not data.coords.flags.writeable and not data.codes.flags.writeable
     with pytest.raises(ValueError):
-        LabeledPoint(float("nan"), 0.0, "A")
+        data.coords[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        data.codes[0] = 1
+    coords[0, 0] = 9.0  # the caller's array is not the dataset's
+    assert data.coords[0, 0] == 0.1
 
 
 # ---------------------------------------------------------------- scaler
 
 def test_fit_scaler_extrema():
-    data = Dataset(
-        points=(LabeledPoint(2, 10, "A"), LabeledPoint(4, 30, "B")),
-        labels=("A", "B"),
-    )
+    data = Dataset(coords=[(2, 10), (4, 30)], codes=[0, 1], labels=("A", "B"))
     s = fit_scaler(data)
     assert (s.min1, s.max1, s.min2, s.max2) == (2, 4, 10, 30)
 
 
 def test_fit_scaler_identity_on_unit_square():
-    data = Dataset(
-        points=(LabeledPoint(0, 0, "A"), LabeledPoint(1, 1, "B")),
-        labels=("A", "B"),
-    )
+    data = Dataset(coords=[(0, 0), (1, 1)], codes=[0, 1], labels=("A", "B"))
     s = fit_scaler(data)
     assert (s.min1, s.max1, s.min2, s.max2) == (0, 1, 0, 1)
 
 
 def test_fit_scaler_constant_feature_rejected():
-    data = Dataset(
-        points=(LabeledPoint(5, 1, "A"), LabeledPoint(5, 2, "B")),
-        labels=("A", "B"),
-    )
+    data = Dataset(coords=[(5, 1), (5, 2)], codes=[0, 1], labels=("A", "B"))
     with pytest.raises(ValueError, match="x1"):
         fit_scaler(data)
 
@@ -147,10 +170,8 @@ def test_scaler_maps_own_points_into_unit_square(pairs):
     ys = sorted(p[1] for p in pairs)
     if xs[0] == xs[-1] or ys[0] == ys[-1]:
         return  # constant feature: fit_scaler rejects, covered elsewhere
-    pts = tuple(
-        LabeledPoint(x, y, "A" if k % 2 else "B") for k, (x, y) in enumerate(pairs)
-    )
-    data = Dataset(points=pts, labels=("B", "A"))
+    codes = [k % 2 for k in range(len(pairs))]
+    data = Dataset(coords=pairs, codes=codes, labels=("B", "A"))
     out = apply_scaler(data.xy(), fit_scaler(data))
     assert out.min() >= 0.0 and out.max() <= 1.0
     # extrema land exactly on the unit square boundary
@@ -162,9 +183,8 @@ def test_normalize_dataset_keeps_labels_and_order():
     data = generate_spirals(2, 10, [0.0, 0.0], 1.0, 3)
     normalized = normalize_dataset(data, fit_scaler(data))
     assert normalized.labels == data.labels
-    assert [p.label for p in normalized.points] == [p.label for p in data.points]
-    assert all(0.0 <= p.x1 <= 1.0 and 0.0 <= p.x2 <= 1.0
-               for p in normalized.points)
+    assert np.array_equal(normalized.codes, data.codes)
+    assert normalized.coords.min() >= 0.0 and normalized.coords.max() <= 1.0
 
 
 # ---------------------------------------------------------------- spirals
@@ -179,9 +199,10 @@ def test_spirals_count_contract():
 def test_spirals_deterministic_per_seed():
     a = generate_spirals(3, 50, [0.0, 0.0, 0.0], 1.75, 9)
     b = generate_spirals(3, 50, [0.0, 0.0, 0.0], 1.75, 9)
-    assert a == b
+    assert a.coords.tobytes() == b.coords.tobytes()
+    assert np.array_equal(a.codes, b.codes) and a.labels == b.labels
     c = generate_spirals(3, 50, [0.0, 0.0, 0.0], 1.75, 10)
-    assert a != c
+    assert not np.array_equal(a.coords, c.coords)
 
 
 def test_spirals_noise_free_points_stay_near_center():
@@ -213,15 +234,15 @@ def test_split_deterministic():
     data = generate_spirals(2, 30, [0.01, 0.01], 1.0, 4)
     first = split(data, 0.3, 11)
     second = split(data, 0.3, 11)
-    assert first == second
+    for a, b in zip(first, second):
+        assert a.coords.tobytes() == b.coords.tobytes()
+        assert np.array_equal(a.codes, b.codes)
 
 
 def test_split_two_point_class_keeps_one_each():
-    pts = (
-        LabeledPoint(0, 0, "A"), LabeledPoint(1, 1, "A"),
-        LabeledPoint(0, 1, "B"), LabeledPoint(1, 0, "B"),
+    data = Dataset(
+        coords=[(0, 0), (1, 1), (0, 1), (1, 0)], codes=[0, 0, 1, 1], labels=("A", "B")
     )
-    data = Dataset(points=pts, labels=("A", "B"))
     train_set, test_set = split(data, 0.5, 0)
     assert train_set.class_counts() == {"A": 1, "B": 1}
     assert test_set.class_counts() == {"A": 1, "B": 1}
@@ -235,11 +256,7 @@ def test_split_rejects_bad_fraction():
 
 
 def test_split_rejects_tiny_class():
-    pts = (
-        LabeledPoint(0, 0, "A"),
-        LabeledPoint(0, 1, "B"), LabeledPoint(1, 0, "B"),
-    )
-    data = Dataset(points=pts, labels=("A", "B"))
+    data = Dataset(coords=[(0, 0), (0, 1), (1, 0)], codes=[0, 1, 1], labels=("A", "B"))
     with pytest.raises(ValueError, match="'A'"):
         split(data, 0.5, 0)
 
@@ -250,18 +267,39 @@ def test_split_rejects_tiny_class():
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_split_partitions_and_stratifies(sizes, fraction, seed):
-    pts = []
+    coords, codes = [], []
     for k, m in enumerate(sizes):
         for t in range(m):
-            pts.append(LabeledPoint(k + t * 0.01, k - t * 0.01, f"c{k}"))
-    data = Dataset(points=tuple(pts), labels=tuple(f"c{k}" for k in range(len(sizes))))
+            coords.append((k + t * 0.01, k - t * 0.01))
+            codes.append(k)
+    data = Dataset(coords=coords, codes=codes,
+                   labels=tuple(f"c{k}" for k in range(len(sizes))))
     train_set, test_set = split(data, fraction, seed)
+
+    def rows(d):
+        return [(x1, x2, c) for (x1, x2), c in zip(d.coords.tolist(), d.codes.tolist())]
+
     # exact multiset partition
-    assert sorted(train_set.points + test_set.points, key=repr) == sorted(
-        data.points, key=repr
-    )
+    assert sorted(rows(train_set) + rows(test_set)) == sorted(rows(data))
     for lab, m in zip(data.labels, sizes):
         n_train = train_set.class_counts()[lab]
         expected = min(max(int(math.floor((1 - fraction) * m + 0.5)), 1), m - 1)
         assert n_train == expected
         assert test_set.class_counts()[lab] == m - n_train
+
+
+def test_split_halves_write_the_same_bytes_as_before(tmp_path):
+    # md5s of write_csv on both split halves, recorded from the
+    # one-object-per-point implementation this columnar one replaced
+    golden = {
+        42: ("fe50c2f8134ccce59a51d4022f7340db", "4fce048f55459302ca89b02af5e4df67"),
+        1001: ("839b187a0431c10d0dcf3088c3ba6ad0", "5a7dd2c56b155bbe52069fa344b6122d"),
+    }
+    for seed, expected in golden.items():
+        data = generate_spirals(3, 400, [0.01, 0.015, 0.02], 1.75, seed)
+        digests = []
+        for half in split(data, 0.25, seed):
+            path = tmp_path / "half.csv"
+            write_csv(half, path)
+            digests.append(hashlib.md5(path.read_bytes()).hexdigest())
+        assert tuple(digests) == expected

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fcdm.dataset import Dataset, LabeledPoint
-from fcdm.grid import (
-    DensityField,
-    GridSpec,
-    PixelIndex,
-    map_to_pixel,
-    rasterize_signed,
-)
+from fcdm.dataset import Dataset
+from fcdm.grid import DensityField, GridSpec, map_to_pixel, rasterize_signed
 
 
 def test_gridspec_accepts_powers_of_two():
@@ -21,6 +16,13 @@ def test_gridspec_rejects_bad_sizes():
     for n in (0, 4, 7, 100, 500, -8):
         with pytest.raises(ValueError):
             GridSpec(n)
+
+
+def test_domain_width_is_fixed_at_one():
+    # model files do not store it, so it is not a constructor option
+    assert GridSpec(8).domain_width == 1.0
+    with pytest.raises(TypeError):
+        GridSpec(8, 2.0)
 
 
 def test_pixel_size_exact():
@@ -35,15 +37,15 @@ def test_pixel_centers():
 
 
 def test_map_center_point():
-    assert map_to_pixel((0.5, 0.5), GridSpec(8)) == PixelIndex(i=4, j=4)
+    assert map_to_pixel((0.5, 0.5), GridSpec(8)) == (4, 4)
 
 
 def test_map_clamps_at_upper_edge():
-    assert map_to_pixel((1.0, 0.0), GridSpec(8)) == PixelIndex(i=0, j=7)
+    assert map_to_pixel((1.0, 0.0), GridSpec(8)) == (0, 7)
 
 
 def test_map_clamps_below_zero():
-    assert map_to_pixel((-0.2, 0.3), GridSpec(8)) == PixelIndex(i=2, j=0)
+    assert map_to_pixel((-0.2, 0.3), GridSpec(8)) == (2, 0)
 
 
 def test_map_rejects_nan():
@@ -58,9 +60,9 @@ def test_map_rejects_nan():
 )
 def test_map_always_lands_on_grid(x1, x2, exponent):
     grid = GridSpec(2**exponent)
-    p = map_to_pixel((x1, x2), grid)
-    assert 0 <= p.i < grid.n_mesh
-    assert 0 <= p.j < grid.n_mesh
+    i, j = map_to_pixel((x1, x2), grid)
+    assert 0 <= i < grid.n_mesh
+    assert 0 <= j < grid.n_mesh
 
 
 @given(
@@ -70,12 +72,12 @@ def test_map_always_lands_on_grid(x1, x2, exponent):
 def test_pixel_center_maps_to_own_pixel(i, j):
     grid = GridSpec(64)
     dx = grid.pixel_size
-    assert map_to_pixel(((j + 0.5) * dx, (i + 0.5) * dx), grid) == PixelIndex(i, j)
+    assert map_to_pixel(((j + 0.5) * dx, (i + 0.5) * dx), grid) == (i, j)
 
 
 def _single_point_data(label_of_point, vocab=("A", "B")):
     return Dataset(
-        points=(LabeledPoint(0.5, 0.5, label_of_point),), labels=vocab
+        coords=[(0.5, 0.5)], codes=[vocab.index(label_of_point)], labels=vocab
     )
 
 
@@ -94,10 +96,7 @@ def test_rasterize_single_other_point():
 
 
 def test_rasterize_collision_target_wins():
-    data = Dataset(
-        points=(LabeledPoint(0.5, 0.5, "A"), LabeledPoint(0.51, 0.51, "B")),
-        labels=("A", "B"),
-    )
+    data = Dataset(coords=[(0.5, 0.5), (0.51, 0.51)], codes=[0, 1], labels=("A", "B"))
     # both points share pixel (4, 4) on an 8-mesh
     field = rasterize_signed(data, "A", GridSpec(8))
     assert field.values[4, 4] == 1.0
@@ -111,41 +110,34 @@ def test_rasterize_unknown_target_rejected():
 
 def test_rasterize_axis_convention():
     # x1 picks the column, x2 the row
-    data = Dataset(
-        points=(LabeledPoint(0.9, 0.1, "A"), LabeledPoint(0.1, 0.9, "B")),
-        labels=("A", "B"),
-    )
+    data = Dataset(coords=[(0.9, 0.1), (0.1, 0.9)], codes=[0, 1], labels=("A", "B"))
     field = rasterize_signed(data, "A", GridSpec(8))
     assert field.values[0, 7] == 1.0   # (i=row from x2, j=col from x1)
     assert field.values[7, 0] == -1.0
 
 
-@given(st.data())
-def test_rasterize_values_are_signed_indicators(data_strategy):
-    n_points = data_strategy.draw(st.integers(min_value=1, max_value=30))
-    coords = data_strategy.draw(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1, allow_nan=False),
-                st.floats(min_value=0, max_value=1, allow_nan=False),
-                st.sampled_from(["A", "B", "C"]),
-            ),
-            min_size=n_points,
-            max_size=n_points,
+@given(
+    st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, (n, 2), elements=st.floats(min_value=0, max_value=1)),
+            arrays(np.intp, n, elements=st.integers(min_value=0, max_value=2)),
         )
     )
-    labels_used = {c[2] for c in coords}
-    pts = tuple(LabeledPoint(a, b, lab) for a, b, lab in coords)
-    data = Dataset(points=pts, labels=("A", "B", "C"))
+)
+def test_rasterize_values_are_signed_indicators(columns):
+    coords, codes = columns
+    data = Dataset(coords=coords, codes=codes, labels=("A", "B", "C"))
     grid = GridSpec(16)
-    field = rasterize_signed(data, "A", grid)
-    assert set(np.unique(field.values)) <= {-1.0, 0.0, 1.0}
-    # every target point's pixel reads +1 regardless of other occupants
-    if "A" in labels_used:
-        for p in pts:
-            if p.label == "A":
-                idx = map_to_pixel((p.x1, p.x2), grid)
-                assert field.values[idx.i, idx.j] == 1.0
+    for target, lab in enumerate(data.labels):
+        field = rasterize_signed(data, lab, grid)
+        # reference, point by point: every other-class pixel reads -1, then
+        # every target pixel +1, so a shared pixel goes to the target class
+        expected = np.zeros((16, 16))
+        for is_target in (False, True):
+            for (x1, x2), code in zip(coords.tolist(), codes.tolist()):
+                if (code == target) == is_target:
+                    expected[map_to_pixel((x1, x2), grid)] = 1.0 if is_target else -1.0
+        assert field.values.tobytes() == expected.tobytes()
 
 
 def test_density_field_shape_checked():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcdm.dataset import Dataset, FeatureScaler, LabeledPoint
-from fcdm.grid import GridSpec, PixelIndex
+from fcdm.dataset import Dataset, FeatureScaler, apply_scaler
+from fcdm.grid import GridSpec, _pixel_rows_cols
 from fcdm.inference import evaluate, predict
 from fcdm.trainer import ClassifierModel
 
@@ -50,7 +50,7 @@ def test_predict_tie_breaks_to_lowest_index():
 
 def test_predict_reports_pixel():
     model = _flat_model((0.5, 0.5))
-    assert predict(model, (0.5, 0.5)).pixel == PixelIndex(4, 4)
+    assert predict(model, (0.5, 0.5)).pixel == (4, 4)
 
 
 def test_predict_clamps_far_points_to_boundary():
@@ -82,11 +82,9 @@ def test_predict_uses_scaler():
 
 def test_evaluate_perfect_predictions():
     model = _split_model()
-    pts = tuple(
-        [LabeledPoint(0.1, 0.1 * k, "A") for k in range(5)]
-        + [LabeledPoint(0.9, 0.1 * k, "B") for k in range(5)]
-    )
-    report = evaluate(model, Dataset(points=pts, labels=("A", "B")))
+    coords = [(0.1, 0.1 * k) for k in range(5)] + [(0.9, 0.1 * k) for k in range(5)]
+    data = Dataset(coords=coords, codes=[0] * 5 + [1] * 5, labels=("A", "B"))
+    report = evaluate(model, data)
     assert report.macro_recall == 1.0
     assert report.accuracy == 1.0
     assert np.array_equal(report.confusion, np.array([[5, 0], [0, 5]]))
@@ -94,10 +92,9 @@ def test_evaluate_perfect_predictions():
 
 def test_evaluate_known_confusion_matrix():
     model = _split_model()
-    pts = []
-    pts += [LabeledPoint(0.2, 0.5, "A")] * 9 + [LabeledPoint(0.8, 0.5, "A")] * 1
-    pts += [LabeledPoint(0.2, 0.5, "B")] * 2 + [LabeledPoint(0.8, 0.5, "B")] * 8
-    report = evaluate(model, Dataset(points=tuple(pts), labels=("A", "B")))
+    coords = [(0.2, 0.5)] * 9 + [(0.8, 0.5)] * 1 + [(0.2, 0.5)] * 2 + [(0.8, 0.5)] * 8
+    codes = [0] * 10 + [1] * 10
+    report = evaluate(model, Dataset(coords=coords, codes=codes, labels=("A", "B")))
     assert np.array_equal(report.confusion, np.array([[9, 1], [2, 8]]))
     assert report.per_class_recall == pytest.approx([0.9, 0.8], abs=1e-12)
     assert report.macro_recall == pytest.approx(0.85, abs=1e-12)
@@ -107,17 +104,17 @@ def test_evaluate_known_confusion_matrix():
 
 def test_evaluate_rows_follow_model_vocabulary_order():
     model = _split_model()  # labels ("A", "B")
-    pts = (LabeledPoint(0.9, 0.5, "B"), LabeledPoint(0.1, 0.5, "A"))
+    data = Dataset(coords=[(0.9, 0.5), (0.1, 0.5)], codes=[0, 1], labels=("B", "A"))
     # dataset vocabulary lists B first; the report must still index by model order
-    report = evaluate(model, Dataset(points=pts, labels=("B", "A")))
+    report = evaluate(model, data)
     assert report.labels == ("A", "B")
     assert np.array_equal(report.confusion, np.eye(2, dtype=np.int64))
 
 
 def test_evaluate_macro_skips_absent_classes():
     model = _split_model()
-    pts = (LabeledPoint(0.1, 0.5, "A"), LabeledPoint(0.15, 0.4, "A"))
-    report = evaluate(model, Dataset(points=pts, labels=("A", "B")))
+    data = Dataset(coords=[(0.1, 0.5), (0.15, 0.4)], codes=[0, 0], labels=("A", "B"))
+    report = evaluate(model, data)
     assert report.per_class_recall[0] == 1.0
     assert report.per_class_recall[1] == 0.0  # placeholder for an absent class
     assert report.macro_recall == 1.0
@@ -125,21 +122,21 @@ def test_evaluate_macro_skips_absent_classes():
 
 def test_evaluate_rejects_unknown_label():
     model = _split_model()
-    pts = (LabeledPoint(0.1, 0.5, "A"), LabeledPoint(0.2, 0.5, "Z"))
+    data = Dataset(coords=[(0.1, 0.5), (0.2, 0.5)], codes=[0, 1], labels=("A", "Z"))
     with pytest.raises(ValueError, match="'Z'"):
-        evaluate(model, Dataset(points=pts, labels=("A", "Z")))
+        evaluate(model, data)
 
 
 def test_evaluate_rejects_empty_dataset():
     model = _split_model()
     with pytest.raises(ValueError, match="empty"):
-        evaluate(model, Dataset(points=(), labels=("A", "B")))
+        evaluate(model, Dataset(coords=np.empty((0, 2)), codes=[], labels=("A", "B")))
 
 
 def test_report_to_dict_is_json_ready():
     model = _split_model()
-    pts = (LabeledPoint(0.1, 0.5, "A"), LabeledPoint(0.9, 0.5, "B"))
-    report = evaluate(model, Dataset(points=pts, labels=("A", "B")))
+    data = Dataset(coords=[(0.1, 0.5), (0.9, 0.5)], codes=[0, 1], labels=("A", "B"))
+    report = evaluate(model, data)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["labels"] == ["A", "B"]
     assert payload["n_points"] == 2
@@ -157,3 +154,60 @@ def test_prediction_probabilities_always_sum_to_one(small_model, x1, x2):
     assert math.isclose(sum(pred.probabilities), 1.0, abs_tol=1e-9)
     assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in pred.probabilities)
     assert pred.label in small_model.labels
+
+
+# per-pixel class probabilities, many with an exact tie for the maximum
+_TRIPLES = [
+    (1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5),
+    (0.25, 0.25, 0.5), (0.4, 0.2, 0.4), (0.2, 0.4, 0.4), (0.6, 0.2, 0.2),
+]
+
+
+def _tie_model(scaler, n=8):
+    picks = np.random.default_rng(5).integers(len(_TRIPLES), size=(n, n))
+    fields = np.moveaxis(np.array(_TRIPLES)[picks], -1, 0)
+    return _model_from_fields(list(fields), ("A", "B", "C"), n=n, scaler=scaler)
+
+
+_TIE_MODELS = [
+    _tie_model(FeatureScaler(0, 1, 0, 1)),
+    _tie_model(FeatureScaler(-2.0, 3.0, 10.0, 14.0)),
+]
+# pixel edges k/N of the unit square and their float neighbours
+_EDGE = st.integers(min_value=0, max_value=8).map(lambda k: k / 8)
+_UNIT = st.one_of(
+    _EDGE,
+    _EDGE.map(lambda u: math.nextafter(u, -math.inf)),
+    _EDGE.map(lambda u: math.nextafter(u, math.inf)),
+)
+_FAR = st.sampled_from([math.inf, -math.inf, 1e308, -1e308])
+
+
+@given(st.data())
+def test_predict_pixel_and_label_match_the_vector_rule(data):
+    # the scalar lookup agrees with _pixel_rows_cols on the clamped scaled
+    # point, and the label is the first maximum of the pixel's column
+    model = data.draw(st.sampled_from(_TIE_MODELS))
+    s = model.scaler
+
+    def coordinate(lo, hi):
+        return st.one_of(
+            _UNIT.map(lambda u: lo + u * (hi - lo)), _FAR, st.floats(allow_nan=False)
+        )
+
+    point = (data.draw(coordinate(s.min1, s.max1)), data.draw(coordinate(s.min2, s.max2)))
+    pred = predict(model, point)
+    i, j = _pixel_rows_cols(np.clip(apply_scaler([point], s), 0.0, 1.0), model.grid)
+    assert pred.pixel == (int(i[0]), int(j[0]))
+    column = model.probabilities[:, i[0], j[0]]
+    assert pred.probabilities == tuple(column.tolist())
+    assert pred.label == model.labels[int(np.argmax(column))]
+
+
+def test_tie_model_has_ties_and_edges_land_on_the_upper_pixel():
+    model = _TIE_MODELS[0]
+    probs = model.probabilities
+    assert ((probs == probs.max(axis=0)).sum(axis=0) >= 2).sum() >= 16
+    # an edge k/N belongs to pixel k; the far edge 1 clamps into pixel N - 1
+    assert predict(model, (3 / 8, 5 / 8)).pixel == (5, 3)
+    assert predict(model, (1.0, 1.0)).pixel == (7, 7)

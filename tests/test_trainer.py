@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import fcdm.spectral
 import fcdm.trainer
-from fcdm.dataset import Dataset, LabeledPoint, generate_spirals, split
-from fcdm.grid import DensityField, GridSpec, PixelIndex
+from fcdm.dataset import Dataset, generate_spirals, split
+from fcdm.grid import DensityField, GridSpec
 from fcdm.model_io import model_to_bytes
 from fcdm.spectral import half_spectrum
 from fcdm.trainer import (
@@ -385,10 +385,7 @@ def test_n_final_is_max_of_class_stops():
 def test_far_apart_two_point_classes():
     # one point per class in opposite corners: each class's own pixel must
     # favor it, on both the spectral route and the brute-force route
-    data = Dataset(
-        points=(LabeledPoint(0.2, 0.2, "A"), LabeledPoint(0.8, 0.8, "B")),
-        labels=("A", "B"),
-    )
+    data = Dataset(coords=[(0.2, 0.2), (0.8, 0.8)], codes=[0, 1], labels=("A", "B"))
     model = train(data, TrainConfig(n_mesh=32))
     # scaling stretches the two points onto corner pixels (0,0) and (31,31)
     assert not model.traces[0].converged  # capped at n_max = 4
@@ -400,10 +397,10 @@ def test_far_apart_two_point_classes():
 
     grid = model.grid
     direct_a = smooth_density_direct(
-        [(PixelIndex(0, 0), 1.0), (PixelIndex(31, 31), -1.0)], model.n_final, grid
+        [((0, 0), 1.0), ((31, 31), -1.0)], model.n_final, grid
     )
     direct_b = smooth_density_direct(
-        [(PixelIndex(0, 0), -1.0), (PixelIndex(31, 31), 1.0)], model.n_final, grid
+        [((0, 0), -1.0), ((31, 31), 1.0)], model.n_final, grid
     )
     brute = build_probabilities(np.stack([direct_a.values, direct_b.values]))
     assert brute[0, 0, 0] > 0.5
@@ -441,11 +438,10 @@ def test_train_is_deterministic():
 
 
 def test_train_rejects_empty_class():
-    pts = (
-        LabeledPoint(0.1, 0.2, "A"), LabeledPoint(0.9, 0.8, "A"),
-        LabeledPoint(0.4, 0.6, "B"),
+    data = Dataset(
+        coords=[(0.1, 0.2), (0.9, 0.8), (0.4, 0.6)], codes=[0, 0, 1],
+        labels=("A", "B", "C"),
     )
-    data = Dataset(points=pts, labels=("A", "B", "C"))
     with pytest.raises(ValueError, match="'C'"):
         train(data, TrainConfig(n_mesh=32))
 
