@@ -43,10 +43,10 @@ def main(argv=None):
     started = time.perf_counter()
     model = fcdm.train(train_set, config)
     elapsed = time.perf_counter() - started
-    for trace in model.traces:
+    for label, trace in zip(model.labels, model.traces):
         flag = "converged" if trace.converged else "capped"
         corrs = ", ".join(f"{c:.5f}" for c in trace.correlations)
-        print(f"  {trace.label}: n_k={trace.n_k} ({flag})  c(2..)={corrs}")
+        print(f"  {label}: n_k={trace.n_k} ({flag})  c(2..)={corrs}")
     print(f"n_final={model.n_final}  (trained in {elapsed:.2f}s)")
 
     for name, subset in (("train", train_set), ("test", test_set)):

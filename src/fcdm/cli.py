@@ -89,6 +89,10 @@ def _cmd_generate(args):
         raise UsageError(f"--classes must be at least 2, got {args.classes}")
     if args.per_class < 1:
         raise UsageError(f"--per-class must be at least 1, got {args.per_class}")
+    if not math.isfinite(args.turns):
+        raise UsageError(f"--turns must be finite, got {args.turns}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     sigmas = _parse_noise(args.noise, args.classes)
     data = ds.generate_spirals(
         args.classes, args.per_class, sigmas, args.turns, args.seed
@@ -105,9 +109,9 @@ def _cmd_train(args):
         raise UsageError(str(exc)) from None
     data = ds.load_csv(args.input, has_header=args.header)
     model = train(data, config)
-    for trace in model.traces:
+    for label, trace in zip(model.labels, model.traces):
         status = "converged" if trace.converged else f"capped at n_max={config.n_max}"
-        print(f"class {trace.label}: n_k={trace.n_k} ({status})")
+        print(f"class {label}: n_k={trace.n_k} ({status})")
         first_n = 2
         corr = ", ".join(
             f"c({first_n + t})={c:.6f}" for t, c in enumerate(trace.correlations)

@@ -91,17 +91,13 @@ class FeatureScaler:
 def fit_scaler(data):
     """Per-feature min/max over a dataset.
 
-    Raises ValueError on an empty dataset or when either feature is
-    constant (the affine map would be undefined).
+    Raises ValueError on an empty dataset; FeatureScaler raises it, naming
+    x1 or x2, when a feature is constant (the affine map would be undefined).
     """
     if len(data) == 0:
         raise ValueError("cannot fit a scaler to an empty dataset")
     min1, min2 = data.coords.min(axis=0)
     max1, max2 = data.coords.max(axis=0)
-    if max1 <= min1:
-        raise ValueError(f"feature x1 is constant (= {min1}); cannot scale")
-    if max2 <= min2:
-        raise ValueError(f"feature x2 is constant (= {min2}); cannot scale")
     return FeatureScaler(
         min1=float(min1), max1=float(max1), min2=float(min2), max2=float(max2)
     )

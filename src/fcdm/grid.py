@@ -6,10 +6,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Square mesh with n_mesh pixels per axis over [0, L)^2, L = domain_width = 1.
@@ -24,10 +20,9 @@ class GridSpec:
     domain_width = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n_mesh, int) or not is_power_of_two(self.n_mesh) or self.n_mesh < 8:
-            raise ValueError(
-                f"n_mesh must be a power of two >= 8, got {self.n_mesh!r}"
-            )
+        n = self.n_mesh
+        if not isinstance(n, int) or n < 8 or n & (n - 1):
+            raise ValueError(f"n_mesh must be a power of two >= 8, got {n!r}")
 
     @property
     def pixel_size(self):

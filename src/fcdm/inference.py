@@ -1,6 +1,5 @@
 """Prediction and evaluation against a trained model."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,24 +47,16 @@ class EvalReport:
 def predict(model, point):
     """Classify one raw-coordinate point.
 
-    The point is scaled with the model's scaler, clamped into the unit
-    square (so far-out points read the boundary pixel), located on the
-    grid, and assigned the class with the largest probability there. Ties
-    go to the lowest class index. NaN coordinates raise ValueError.
+    The point is scaled with the model's scaler and located on the grid,
+    where map_to_pixel clamps far-out points to the boundary pixel and
+    rejects NaN coordinates with ValueError. The class with the largest
+    probability at that pixel wins; ties go to the lowest class index.
     """
-    x1, x2 = float(point[0]), float(point[1])
-    if math.isnan(x1) or math.isnan(x2):
-        raise ValueError("cannot classify a point with NaN coordinates")
-    scaled = apply_scaler(np.array([[x1, x2]]), model.scaler)[0]
-    u = min(max(float(scaled[0]), 0.0), 1.0)
-    v = min(max(float(scaled[1]), 0.0), 1.0)
-    i, j = map_to_pixel((u, v), model.grid)
-    probs = tuple(model.probabilities[:, i, j].tolist())
-    best = 0
-    for k in range(1, len(probs)):
-        if probs[k] > probs[best]:
-            best = k
-    return Prediction(label=model.labels[best], probabilities=probs, pixel=(i, j))
+    scaled = apply_scaler(np.array([[float(point[0]), float(point[1])]]), model.scaler)
+    i, j = map_to_pixel(scaled[0], model.grid)
+    probs = model.probabilities[:, i, j].tolist()
+    best = probs.index(max(probs))
+    return Prediction(label=model.labels[best], probabilities=tuple(probs), pixel=(i, j))
 
 
 def evaluate(model, data):

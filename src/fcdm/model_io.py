@@ -14,9 +14,9 @@ File layout, all little-endian, in order:
 
 Round trips are bit-exact: the fields are the model's (K, n_mesh, n_mesh)
 probabilities array written verbatim, and a loaded model's probabilities
-are a read-only view over the bytes read, not a copy. Training-only
-diagnostics (per-class iterations, traces, point counts) are not stored;
-a loaded model carries None in those slots.
+are a read-only view over the bytes read, not a copy. The training-only
+diagnostic, the per-class traces, is not stored; a loaded model carries
+None there.
 """
 
 import struct

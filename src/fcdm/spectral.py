@@ -3,11 +3,11 @@ smoothing and the correlations the bandwidth search reads.
 
 Conventions: the forward transform is unnormalized and the inverse carries
 the 1/N^2 factor. Sample k of an N-point axis lives at frequency k/L for
-k < N/2 and (k - N)/L for k >= N/2 (the wrapped layout both numpy and the
-filter below share). Smoothing in this space is circular, so fields are
-implicitly L-periodic in both directions. Smoothing and the correlations
-work on the half plane of real-input transforms (rfft2: every row, columns
-0..N/2), which half_spectrum computes once per field.
+k < N/2 and (k - N)/L for k >= N/2 (the wrapped layout of np.fft.fftfreq,
+which the filter below reads). Smoothing in this space is circular, so
+fields are implicitly L-periodic in both directions. Smoothing and the
+correlations work on the half plane of real-input transforms (rfft2: every
+row, columns 0..N/2), which half_spectrum computes once per field.
 """
 
 import itertools
@@ -18,13 +18,6 @@ import numpy as np
 from .grid import DensityField, GridSpec
 
 
-def wrapped_frequencies(grid):
-    """The N frequencies of one axis in DFT storage order."""
-    n = grid.n_mesh
-    k = np.arange(n)
-    return np.where(k < n // 2, k, k - n) / grid.domain_width
-
-
 def _aliased_gaussian(grid, sigma_tilde):
     """Sum over m of exp(-(f + m N / L)^2 / (2 sigma_tilde^2)) at the wrapped frequencies f.
 
@@ -33,7 +26,7 @@ def _aliased_gaussian(grid, sigma_tilde):
     whole pair underflows to zero; |f +/- m N / L| grows with m, so every
     later copy is zero too. Pairing keeps the result exactly even in f.
     """
-    f = wrapped_frequencies(grid)
+    f = np.fft.fftfreq(grid.n_mesh, grid.pixel_size)
     period = grid.n_mesh / grid.domain_width
     two_var = 2.0 * sigma_tilde * sigma_tilde
     total = np.exp(-f * f / two_var)

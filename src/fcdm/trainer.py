@@ -34,8 +34,8 @@ class TrainConfig:
             self.n_max = self.n_mesh // 8
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.n_max < 4:
-            raise ValueError(f"n_max must be at least 4, got {self.n_max}")
+        if not (isinstance(self.n_max, int) and self.n_max >= 4):
+            raise ValueError(f"n_max must be an integer of at least 4, got {self.n_max!r}")
 
 
 @dataclass
@@ -47,14 +47,10 @@ class ConvergenceTrace:
     central difference d2(n) = c(n+1) - 2 c(n) + c(n-1) for n = 3 + t.
     """
 
-    label: str
     correlations: list
     second_derivatives: list
     n_k: int
     converged: bool
-
-    def correlation_at(self, n):
-        return self.correlations[n - 2]
 
     def second_derivative_at(self, n):
         return self.second_derivatives[n - 3]
@@ -65,9 +61,9 @@ class ClassifierModel:
     """A trained classifier: per-class probability fields over the unit square.
 
     probabilities is one C-contiguous (K, n_mesh, n_mesh) float64 array;
-    probabilities[k] matches labels[k]. class_iterations, point_counts
-    and traces are training diagnostics; models restored from disk carry
-    None there.
+    probabilities[k] matches labels[k]. traces[k] is the bandwidth search
+    of class labels[k], the one training diagnostic; models restored from
+    disk carry None there.
     """
 
     labels: tuple
@@ -76,8 +72,6 @@ class ClassifierModel:
     n_final: int
     epsilon: float
     probabilities: np.ndarray = field(repr=False)
-    class_iterations: dict = None
-    point_counts: dict = None
     traces: list = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -101,11 +95,18 @@ class ClassifierModel:
         deviation -= 1.0
         if not (np.abs(deviation, out=deviation).max() <= 1e-9):
             raise ValueError("probability fields do not sum to 1 per pixel")
-        if self.class_iterations is not None:
-            if set(self.class_iterations) != set(self.labels):
-                raise ValueError("class_iterations keys do not match labels")
-            if max(self.class_iterations.values()) != self.n_final:
+        if self.traces is not None:
+            if len(self.traces) != k:
+                raise ValueError(f"got {len(self.traces)} traces for {k} classes")
+            if max(t.n_k for t in self.traces) != self.n_final:
                 raise ValueError("n_final is not the maximum per-class iteration")
+
+    @property
+    def class_iterations(self):
+        """{label: n_k} read from the traces; None on a model restored from disk."""
+        if self.traces is None:
+            return None
+        return {lab: t.n_k for lab, t in zip(self.labels, self.traces)}
 
     @property
     def probability_fields(self):
@@ -146,9 +147,8 @@ def stopping_rule(correlations, epsilon, n_max):
     n = 3, 4, ..., n_max - 1 in order; the first with |d2(n)| < epsilon
     wins. If none falls below epsilon the result is n_max with
     converged=False. The sequence is read no further than the deciding
-    value, and never past c(n_max). Returns
-    (n_k, second_derivatives, converged), second_derivatives[t] being
-    d2(3 + t).
+    value, and never past c(n_max). Returns the ConvergenceTrace of the
+    values read.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -163,11 +163,11 @@ def stopping_rule(correlations, epsilon, n_max):
         d2 = corr[-1] - 2.0 * corr[-2] + corr[-3]
         d2s.append(d2)
         if abs(d2) < epsilon:
-            return n - 1, d2s, True
-    return n_max, d2s, False
+            return ConvergenceTrace(corr, d2s, n_k=n - 1, converged=True)
+    return ConvergenceTrace(corr, d2s, n_k=n_max, converged=False)
 
 
-def find_optimal_iteration(spectrum, epsilon, n_max, label=""):
+def find_optimal_iteration(spectrum, epsilon, n_max):
     """Run stopping_rule on a raster's correlation curve.
 
     spectrum is half_spectrum(raster). c(n) is the Pearson correlation of
@@ -175,22 +175,8 @@ def find_optimal_iteration(spectrum, epsilon, n_max, label=""):
     by Parseval's theorem (consecutive_correlations), so the search makes
     no transform at all. Returns (n_k, trace).
     """
-    correlations = []
-
-    def recorded():
-        for c in consecutive_correlations(spectrum):
-            correlations.append(c)
-            yield c
-
-    n_k, d2s, converged = stopping_rule(recorded(), epsilon, n_max)
-    trace = ConvergenceTrace(
-        label=label,
-        correlations=correlations,
-        second_derivatives=d2s,
-        n_k=n_k,
-        converged=converged,
-    )
-    return n_k, trace
+    trace = stopping_rule(consecutive_correlations(spectrum), epsilon, n_max)
+    return trace.n_k, trace
 
 
 def build_probabilities(probs):
@@ -225,18 +211,14 @@ def train(data, config=None):
     """
     if config is None:
         config = TrainConfig()
-    counts = data.class_counts()
-    empty = [lab for lab, c in counts.items() if c == 0]
+    empty = [lab for lab, c in data.class_counts().items() if c == 0]
     if empty:
         raise ValueError(f"classes without points: {', '.join(map(repr, empty))}")
     scaler = fit_scaler(data)
     normalized = normalize_dataset(data, scaler)
     grid = GridSpec(n_mesh=config.n_mesh)
     spectra = [half_spectrum(rasterize_signed(normalized, lab, grid)) for lab in data.labels]
-    traces = [
-        find_optimal_iteration(s, config.epsilon, config.n_max, label=lab)[1]
-        for lab, s in zip(data.labels, spectra)
-    ]
+    traces = [find_optimal_iteration(s, config.epsilon, config.n_max)[1] for s in spectra]
     n_final = max(t.n_k for t in traces)
     probs = np.empty((len(spectra), grid.n_mesh, grid.n_mesh))
     for k, s in enumerate(spectra):
@@ -250,7 +232,5 @@ def train(data, config=None):
         n_final=n_final,
         epsilon=config.epsilon,
         probabilities=probs,
-        class_iterations={t.label: t.n_k for t in traces},
-        point_counts=counts,
         traces=traces,
     )

@@ -89,6 +89,24 @@ def test_generate_bad_noise_value_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("turns", ["nan", "inf", "-inf"])
+def test_generate_non_finite_turns_is_usage_error(tmp_path, capsys, recwarn, turns):
+    out = tmp_path / "x.csv"
+    code, _ = _run(["generate", f"--turns={turns}", "--out", str(out)])
+    assert code == 2
+    assert "--turns must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(recwarn) == 0  # rejected before any arithmetic runs
+
+
+def test_generate_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _ = _run(["generate", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- train
 
 def test_train_reports_convergence(workspace):

@@ -82,12 +82,16 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_loaded_model_has_no_training_diagnostics(tmp_path):
+    data = generate_spirals(2, 40, [0.01, 0.02], 1.5, 0)
+    model = train(data, TrainConfig(n_mesh=32))
+    assert model.class_iterations == {
+        lab: t.n_k for lab, t in zip(model.labels, model.traces)
+    }
     path = tmp_path / "m.fcdm"
-    save_model(_toy_model(), path)
+    save_model(model, path)
     back = load_model(path)
-    assert back.class_iterations is None
-    assert back.point_counts is None
     assert back.traces is None
+    assert back.class_iterations is None
 
 
 def test_non_ascii_labels_round_trip():

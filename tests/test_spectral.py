@@ -6,11 +6,11 @@ import fcdm.spectral
 from fcdm.dataset import generate_spirals, fit_scaler, normalize_dataset
 from fcdm.grid import DensityField, GridSpec, rasterize_signed
 from fcdm.spectral import (
+    _transfer_axis,
     _transfer_function,
     consecutive_correlations,
     half_spectrum,
     smooth_density,
-    wrapped_frequencies,
 )
 from fcdm.trainer import pearson_correlation
 from oracles import smooth, smooth_density_direct
@@ -91,9 +91,20 @@ def test_parseval(seed):
     assert abs(spatial - spectral) <= 1e-10 * max(spatial, 1.0)
 
 
-def test_wrapped_frequency_layout():
-    freqs = wrapped_frequencies(GridSpec(8))
-    assert freqs.tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+def test_wrapped_frequency_layout(monkeypatch):
+    # the filter reads its axis frequencies from np.fft.fftfreq at the
+    # pixel spacing, which gives the wrapped layout in units of 1 / L
+    fftfreq = fcdm.spectral.np.fft.fftfreq
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, fftfreq(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fcdm.spectral.np.fft, "fftfreq", recorded)
+    _transfer_axis(GridSpec(8), 1)
+    assert [args for args, _ in calls] == [(8, 0.125)]
+    assert calls[0][1].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
 
 # ---------------------------------------------------------------- filter

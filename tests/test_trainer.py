@@ -10,6 +10,7 @@ from fcdm.model_io import model_to_bytes
 from fcdm.spectral import half_spectrum
 from fcdm.trainer import (
     ClassifierModel,
+    ConvergenceTrace,
     TrainConfig,
     build_probabilities,
     find_optimal_iteration,
@@ -36,6 +37,8 @@ def test_config_nmax_follows_mesh():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(n_mesh=100)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        TrainConfig(n_max=6.0)  # range() in the search would reject it later
     with pytest.raises(ValueError):
         TrainConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -136,11 +139,12 @@ def test_linear_correlation_sequence_stops_at_first_center():
             read.append(pearson_correlation(fields[n], fields[n - 1]))
             yield read[-1]
 
-    n_k, second_derivatives, converged = stopping_rule(correlations(), 0.01, 8)
-    assert n_k == 3
-    assert converged
-    assert abs(second_derivatives[0]) < 1e-12
+    trace = stopping_rule(correlations(), 0.01, 8)
+    assert trace.n_k == 3
+    assert trace.converged
+    assert abs(trace.second_derivatives[0]) < 1e-12
     assert read == pytest.approx([c_target(n) for n in (2, 3, 4)], abs=1e-12)
+    assert trace.correlations == read
 
 
 def test_stopping_rule_reads_no_further_than_n_max():
@@ -148,9 +152,10 @@ def test_stopping_rule_reads_no_further_than_n_max():
     # flattens is capped there, with d2 recorded at centers 3, 4, 5
     curve = [0.1 * n * n for n in range(2, 12)]
     it = iter(curve)
-    n_k, second_derivatives, converged = stopping_rule(it, 1e-3, 6)
-    assert (n_k, converged) == (6, False)
-    assert second_derivatives == pytest.approx([0.2, 0.2, 0.2])
+    trace = stopping_rule(it, 1e-3, 6)
+    assert (trace.n_k, trace.converged) == (6, False)
+    assert trace.second_derivatives == pytest.approx([0.2, 0.2, 0.2])
+    assert trace.correlations == curve[:5]
     assert next(it) == curve[5]
 
 
@@ -162,8 +167,8 @@ def test_threshold_never_met_returns_cap_with_flag():
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(32)
     raster = rasterize_signed(normalized, "c0", grid)
-    n_k, trace = find_optimal_iteration(half_spectrum(raster), 1e-12, 6, label="c0")
-    assert n_k == 6
+    n_k, trace = find_optimal_iteration(half_spectrum(raster), 1e-12, 6)
+    assert n_k == trace.n_k == 6
     assert not trace.converged
     # searched every center 3..5: c(2)..c(6) plus three second differences
     assert len(trace.correlations) == 5
@@ -188,9 +193,9 @@ def test_trace_index_helpers():
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(64)
     raster = rasterize_signed(normalized, "c1", grid)
-    n_k, trace = find_optimal_iteration(half_spectrum(raster), 0.01, 8, label="c1")
-    assert trace.label == "c1"
-    assert trace.correlation_at(2) == trace.correlations[0]
+    n_k, trace = find_optimal_iteration(half_spectrum(raster), 0.01, 8)
+    assert n_k == trace.n_k
+    assert trace.second_derivative_at(3) == trace.second_derivatives[0]
     if trace.converged:
         assert 3 <= n_k <= 8
         assert abs(trace.second_derivative_at(n_k)) < 0.01
@@ -368,7 +373,8 @@ def test_golden_spiral_run_at_128():
     # frozen from the recorded run of this exact configuration
     assert model.class_iterations == {"c0": 5, "c1": 5, "c2": 5}
     assert model.n_final == 5
-    assert model.point_counts == {"c0": 300, "c1": 300, "c2": 300}
+    assert train_set.class_counts() == {"c0": 300, "c1": 300, "c2": 300}
+    assert len(model.traces) == 3
     for trace in model.traces:
         assert trace.converged
         corrs = trace.correlations
@@ -458,9 +464,22 @@ def test_model_invariants_enforced():
             epsilon=0.01, probabilities=bad,
         )
     good = np.full((2, 8, 8), 0.5)
+
+    def stop(n_k):
+        return ConvergenceTrace([], [], n_k=n_k, converged=True)
+
     with pytest.raises(ValueError, match="n_final"):
         ClassifierModel(
             labels=("A", "B"), grid=grid, scaler=scaler, n_final=3,
-            epsilon=0.01, probabilities=good,
-            class_iterations={"A": 3, "B": 5},
+            epsilon=0.01, probabilities=good, traces=[stop(3), stop(5)],
         )
+    with pytest.raises(ValueError, match="1 traces for 2 classes"):
+        ClassifierModel(
+            labels=("A", "B"), grid=grid, scaler=scaler, n_final=3,
+            epsilon=0.01, probabilities=good, traces=[stop(3)],
+        )
+    model = ClassifierModel(
+        labels=("A", "B"), grid=grid, scaler=scaler, n_final=5,
+        epsilon=0.01, probabilities=good, traces=[stop(3), stop(5)],
+    )
+    assert model.class_iterations == {"A": 3, "B": 5}
