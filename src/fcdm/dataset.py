@@ -155,8 +155,12 @@ def generate_spirals(n_classes, n_per_class, noise_sigmas, turns, seed):
     sigmas = [float(s) for s in noise_sigmas]
     if len(sigmas) != n_classes:
         raise ValueError(f"got {len(sigmas)} noise sigmas for {n_classes} classes")
-    if any(s < 0 for s in sigmas):
-        raise ValueError("noise sigmas must be nonnegative")
+    if any(not math.isfinite(s) or s < 0 for s in sigmas):
+        raise ValueError("noise sigmas must be finite and nonnegative")
+    if not math.isfinite(turns):
+        raise ValueError(f"turns must be finite, got {turns}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     coords = np.empty((n_classes, n_per_class, 2))
     for k, sigma in enumerate(sigmas):

@@ -28,10 +28,6 @@ class GridSpec:
     def pixel_size(self):
         return self.domain_width / self.n_mesh
 
-    def pixel_centers(self):
-        """1D array of pixel-center coordinates along either axis."""
-        return (np.arange(self.n_mesh) + 0.5) * self.pixel_size
-
 
 @dataclass
 class DensityField:

@@ -1,21 +1,30 @@
-"""2D spectral machinery: the real-input transform pair, Gaussian low-pass
-smoothing and the correlations the bandwidth search reads.
+"""2D spectral machinery: the pruned real-input transform pair, Gaussian
+low-pass smoothing and the correlations the bandwidth search reads.
 
 Conventions: the forward transform is unnormalized and the inverse carries
 the 1/N^2 factor. Sample k of an N-point axis lives at frequency k/L for
 k < N/2 and (k - N)/L for k >= N/2 (the wrapped layout of np.fft.fftfreq,
 which the filter below reads). Smoothing in this space is circular, so
-fields are implicitly L-periodic in both directions. Smoothing and the
-correlations work on the half plane of real-input transforms (rfft2: every
-row, columns 0..N/2), which half_spectrum computes once per field.
+fields are implicitly L-periodic in both directions. Everything works on
+the rfft2 half plane (every row, columns 0..N/2), pruned exactly: the
+filter axis is a sum of Gaussians whose float64 exp underflows to 0.0
+(from column 194 on at n = 5, at any mesh of 512 or more), and a column
+multiplied by exact zeros adds exact zeros to the smoothed field and to
+every correlation sum. So the column fft and ifft skip the columns past
+the filter's reach and the row rfft skips empty rows (they transform to
+zeros). numpy computes each 1-D transform on its own, so smoothed fields
+and correlations are bit for bit those of rfft2 (row rfft, column fft)
+and irfft2 (column ifft, row irfft). The spectrum differs from rfft2's
+only in the sign of exact zeros, which no sum or product can show: rfft
+writes -0.0 into some imaginary parts of an empty row.
 """
 
+import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DensityField, GridSpec
+from .grid import DensityField
 
 
 def _aliased_gaussian(grid, sigma_tilde):
@@ -41,57 +50,82 @@ def _aliased_gaussian(grid, sigma_tilde):
         m += 1
 
 
+@functools.lru_cache(maxsize=64)
 def _transfer_axis(grid, n_iter):
-    """One axis of smooth_density's transfer function at step n_iter.
+    """One axis of smooth_density's transfer function at step n_iter, read-only.
 
     The aliased Gaussian sum at sigma_tilde = n_iter / L, in wrapped
     order and without the 1 / (2 pi sigma_tilde^2) factor. The half-plane
     transforms below take the transfer function to be even, T(-f) = T(f):
     that is what makes the smoothed field real and lets one half-plane
     column stand for its mirror. Pairing the alias copies keeps it exactly
-    even, and that is checked here bit for bit.
+    even, and that is checked here bit for bit. Memoised: every class's
+    search and final smoothing read the same axes.
     """
     if n_iter != int(n_iter) or int(n_iter) < 1:
         raise ValueError(f"iteration number must be a positive integer, got {n_iter}")
     axis = _aliased_gaussian(grid, int(n_iter) / grid.domain_width)
     if not np.array_equal(axis[1:], axis[:0:-1]):
         raise ValueError("transfer function is not even; the smoothed field would not be real")
+    axis.flags.writeable = False
     return axis
 
 
-def _transfer_function(grid, n_iter):
-    """smooth_density's transfer function at step n_iter on the rfft2 half plane.
+def _support(axis):
+    """m such that half-plane columns m..N/2 of a transfer axis are exactly zero."""
+    return int(np.flatnonzero(axis[: len(axis) // 2 + 1])[-1]) + 1
 
-    The outer product of the aliased axis sum with its columns 0..N/2,
-    divided by 2 pi sigma_tilde^2, sigma_tilde = n_iter / L.
+
+@functools.lru_cache(maxsize=2)
+def _transfer_function(grid, n_iter):
+    """smooth_density's transfer function at step n_iter, read-only and memoised.
+
+    The outer product of the aliased axis sum with its columns 0..m-1,
+    m = _support, divided by 2 pi sigma_tilde^2, sigma_tilde = n_iter / L.
     """
     axis = _transfer_axis(grid, n_iter)
     st = int(n_iter) / grid.domain_width
-    return np.outer(axis, axis[: grid.n_mesh // 2 + 1]) / (2.0 * np.pi * st * st)
+    transfer = np.outer(axis, axis[: _support(axis)]) / (2.0 * np.pi * st * st)
+    transfer.flags.writeable = False
+    return transfer
 
 
-@dataclass
-class HalfSpectrum:
-    """What half_spectrum returns: a field's grid and its (N, N/2 + 1) rfft2 values."""
+class PrunedSpectrum:
+    """A real field's rfft2 half plane, column-transformed only as far as it is read.
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-
-def half_spectrum(density):
-    """rfft2 of a real field: all rows in wrapped order, columns 0..N/2.
-
-    The columns N/2+1..N-1 of the full transform are the complex
-    conjugates of mirrored half-plane entries, so this half determines
-    the whole spectrum. It is the input of smooth_density,
-    consecutive_correlations and the bandwidth search, so a field is
-    transformed once however often it is smoothed.
+    Construction runs the row rfft on the rows holding a nonzero pixel.
+    columns(m) is columns 0..m-1, an (N, m) view; the column fft runs only
+    on those not computed yet, into a preallocated buffer. keep(n_iter)
+    frees the rows and the columns smoothing at n_iter does not read.
     """
-    return HalfSpectrum(grid=density.grid, values=np.fft.rfft2(density.values))
+
+    def __init__(self, density):
+        values = density.values
+        occupied = values.any(axis=1)
+        self.grid = density.grid
+        self._rows = np.zeros((len(values), len(values) // 2 + 1), dtype=np.complex128)
+        self._rows[occupied] = np.fft.rfft(values[occupied], axis=1)
+        self._columns = np.empty_like(self._rows)
+        self.width = 0
+
+    def columns(self, m):
+        if m > self.width:
+            if self._rows is None:
+                raise ValueError(f"spectrum keeps {self.width} columns, {m} requested")
+            new = slice(self.width, m)
+            self._columns[:, new] = np.fft.fft(self._rows[:, new], axis=0)
+            self.width = m
+        return self._columns[:, :m]
+
+    def keep(self, n_iter):
+        m = _support(_transfer_axis(self.grid, n_iter))
+        self._columns = np.ascontiguousarray(self.columns(m))  # copies unless m is the full width
+        self._rows = None
+        self.width = m
 
 
 def smooth_density(spectrum, n_iter):
-    """Low-pass a field, given as its half_spectrum, at bandwidth sigma_tilde = n_iter / L.
+    """Low-pass a field, given as its PrunedSpectrum, at bandwidth sigma_tilde = n_iter / L.
 
     Equivalent to circular convolution with the spatial Gaussian kernel
     dx^2 * exp(-2 pi^2 sigma_tilde^2 r^2) sampled at pixel offsets and
@@ -100,56 +134,57 @@ def smooth_density(spectrum, n_iter):
     G(f1, f2) = exp(-(f1^2 + f2^2) / (2 sigma_tilde^2)) / (2 pi sigma_tilde^2)
     plus its aliased copies, sum over m1, m2 of G(f1 + m1 N/L, f2 + m2 N/L),
     built as the outer product of one aliased sum per axis divided by
-    2 pi sigma_tilde^2. The operation is linear in the input field.
-
-    The transform pair is rfft2 / irfft2 on the half plane of
-    non-negative x1 frequencies. irfft2 returns a real field whatever its
-    input, which is the true inverse only for a transfer function even in
-    f: the exact evenness check on the per-axis sum guards that. Returns
-    the smoothed DensityField on the spectrum's grid.
+    2 pi sigma_tilde^2. irfft returns a real field whatever its input,
+    which is the true inverse only for a transfer function even in f: the
+    exact evenness check on the per-axis sum guards that.
     """
     grid = spectrum.grid
-    n = grid.n_mesh
     transfer = _transfer_function(grid, n_iter)
-    return DensityField(grid=grid, values=np.fft.irfft2(spectrum.values * transfer, s=(n, n)))
+    filtered = np.fft.ifft(spectrum.columns(transfer.shape[1]) * transfer, axis=0)
+    return DensityField(grid=grid, values=np.fft.irfft(filtered, n=grid.n_mesh, axis=1))
 
 
 def consecutive_correlations(spectrum):
     """Yield c(n) = corr(smoothed at n, smoothed at n - 1) for n = 2, 3, ...
 
-    spectrum is half_spectrum(raster) and the fields are what
-    smooth_density(spectrum, n) returns. Computed on the spectrum,
-    with no inverse transform. By Parseval, the centred inner product of
-    the fields smoothed by real, even transfer functions T and T' is the
-    sum over nonzero frequencies of |R|^2 T T' / N^2, R the raster's
-    spectrum. On the rfft2 half plane columns 1..N/2-1 also stand for
-    their mirror images and count twice, columns 0 and N/2 count once,
-    and the DC term is left out, which is exactly the mean subtraction.
-    The 1 / N^2 and 1 / (2 pi sigma_tilde^2) factors cancel in the
-    correlation, and T = a (x) a is separable, so every sum is a
-    quadratic form u @ P @ u[:N/2+1] with u the product of two axis
-    vectors: O(N^2) per step and no N x N temporaries.
-
-    Each value is clipped into [-1, 1] to absorb roundoff. A smoothed
-    field with no variance raises ValueError. The sequence is endless;
-    the caller stops reading it.
+    The fields are what smooth_density(spectrum, n) returns, but no
+    inverse transform runs. By Parseval, the centred inner product of the
+    fields smoothed by real, even transfer functions T and T' is the sum
+    over nonzero frequencies of |R|^2 T T' / N^2, R the raster's spectrum.
+    On the half plane columns 1..N/2-1 also stand for their mirrors and
+    count twice, and leaving the DC term out is the mean subtraction. The
+    constant factors cancel, and T = a (x) a is separable, so every sum is
+    a quadratic form u @ P[:, :m] @ u[:m] over the step's support m; P is
+    filled in only for the columns a step adds. Values are clipped into
+    [-1, 1]; a field with no variance raises ValueError. The sequence is
+    endless; the caller stops reading it.
     """
-    s = spectrum.values
-    half = s.shape[1]
-    power = s.real * s.real + s.imag * s.imag
-    power[:, 1 : half - 1] *= 2.0
-    power[0, 0] = 0.0
+    grid = spectrum.grid
+    power = np.empty((grid.n_mesh, grid.n_mesh // 2 + 1))
+    done = 0
 
-    def energy(u):
-        return float(u @ power @ u[:half])
+    def grow(axis):
+        nonlocal done
+        m = _support(axis)
+        if m > done:
+            s = spectrum.columns(m)[:, done:m]
+            power[:, done:m] = s.real * s.real + s.imag * s.imag
+            power[:, max(done, 1) : min(m, power.shape[1] - 1)] *= 2.0
+            power[0, 0] = 0.0
+            done = m
+        return m
 
-    prev = _transfer_axis(spectrum.grid, 1)
-    prev_energy = energy(prev * prev)
+    def energy(u, m):
+        return float(u @ power[:, :m] @ u[:m])
+
+    prev = _transfer_axis(grid, 1)
+    prev_energy = energy(prev * prev, grow(prev))
     for n in itertools.count(2):
-        axis = _transfer_axis(spectrum.grid, n)
-        cur_energy = energy(axis * axis)
+        axis = _transfer_axis(grid, n)
+        m = grow(axis)
+        cur_energy = energy(axis * axis, m)
         if cur_energy == 0.0 or prev_energy == 0.0:
             raise ValueError("correlation undefined for a constant field")
-        r = energy(axis * prev) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
+        r = energy(axis * prev, m) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
         yield min(max(float(r), -1.0), 1.0)
         prev, prev_energy = axis, cur_energy

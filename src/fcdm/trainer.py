@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FeatureScaler, fit_scaler, normalize_dataset
-from .grid import DensityField, GridSpec, rasterize_signed
-from .spectral import consecutive_correlations, half_spectrum, smooth_density
+from .grid import GridSpec, rasterize_signed
+from .spectral import PrunedSpectrum, consecutive_correlations, smooth_density
 
 # below this total shifted density a pixel carries no information and
 # falls back to the uniform distribution
@@ -108,11 +108,6 @@ class ClassifierModel:
             return None
         return {lab: t.n_k for lab, t in zip(self.labels, self.traces)}
 
-    @property
-    def probability_fields(self):
-        """The class probabilities as DensityField views, in label order."""
-        return [DensityField(grid=self.grid, values=p) for p in self.probabilities]
-
 
 def pearson_correlation(a, b):
     """Pearson correlation of two fields over their flattened pixels.
@@ -170,10 +165,10 @@ def stopping_rule(correlations, epsilon, n_max):
 def find_optimal_iteration(spectrum, epsilon, n_max):
     """Run stopping_rule on a raster's correlation curve.
 
-    spectrum is half_spectrum(raster). c(n) is the Pearson correlation of
+    spectrum is PrunedSpectrum(raster). c(n) is the Pearson correlation of
     the raster smoothed at steps n and n - 1, computed from the spectrum
-    by Parseval's theorem (consecutive_correlations), so the search makes
-    no transform at all. Returns (n_k, trace).
+    by Parseval's theorem (consecutive_correlations), with no inverse
+    transform. Returns (n_k, trace).
     """
     trace = stopping_rule(consecutive_correlations(spectrum), epsilon, n_max)
     return trace.n_k, trace
@@ -206,8 +201,8 @@ def train(data, config=None):
     rasterize each class one-vs-rest and transform each raster as soon as
     it is built (only the spectra are kept), run the per-class bandwidth
     search on each spectrum, cap every class at the largest per-class
-    stop n_final, smooth every spectrum there with one inverse transform
-    per class and normalize into probability fields.
+    stop n_final, keep the spectrum columns smoothing there reads, smooth
+    and normalize into probability fields.
     """
     if config is None:
         config = TrainConfig()
@@ -217,9 +212,11 @@ def train(data, config=None):
     scaler = fit_scaler(data)
     normalized = normalize_dataset(data, scaler)
     grid = GridSpec(n_mesh=config.n_mesh)
-    spectra = [half_spectrum(rasterize_signed(normalized, lab, grid)) for lab in data.labels]
+    spectra = [PrunedSpectrum(rasterize_signed(normalized, lab, grid)) for lab in data.labels]
     traces = [find_optimal_iteration(s, config.epsilon, config.n_max)[1] for s in spectra]
     n_final = max(t.n_k for t in traces)
+    for s in spectra:
+        s.keep(n_final)
     probs = np.empty((len(spectra), grid.n_mesh, grid.n_mesh))
     for k, s in enumerate(spectra):
         probs[k] = smooth_density(s, n_final).values

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 import fcdm
+from fcdm.spectral import _transfer_axis, _transfer_function
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -80,3 +81,17 @@ def small_model():
     """A fast 64-mesh model over a smaller spiral draw, for plumbing tests."""
     data = fcdm.generate_spirals(3, 60, [0.01, 0.015, 0.02], 1.75, 7)
     return fcdm.train(data, fcdm.TrainConfig(n_mesh=64))
+
+
+@pytest.fixture
+def cold_transfer_caches():
+    """Empty the memoised transfer axes and functions before and after a test.
+
+    For tests that patch what the transfer function is built from, count
+    what building it allocates, or count how often it is built.
+    """
+    for cached in (_transfer_axis, _transfer_function):
+        cached.cache_clear()
+    yield
+    for cached in (_transfer_axis, _transfer_function):
+        cached.cache_clear()

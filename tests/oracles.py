@@ -1,18 +1,62 @@
 """Reference implementations the tests compare the production code against.
 
 smooth_density_direct sums the spatial kernel point by point; the
-library smooths on the spectrum instead.
+library smooths on the spectrum instead. full_plane_smooth and
+full_plane_correlations are the spectral route on the whole rfft2 half
+plane, with the 2-D rfft2 / irfft2 pair and no pruning: the pruned
+transforms must reproduce them bit for bit.
 """
+
+import itertools
 
 import numpy as np
 
 from fcdm.grid import DensityField
-from fcdm.spectral import half_spectrum, smooth_density
+from fcdm.spectral import PrunedSpectrum, _transfer_axis, smooth_density
 
 
 def smooth(field, n_iter):
     """smooth_density applied to a DensityField through its own spectrum."""
-    return smooth_density(half_spectrum(field), n_iter)
+    return smooth_density(PrunedSpectrum(field), n_iter)
+
+
+def half_plane(field):
+    """PrunedSpectrum(field) extended to its full width, columns 0..N/2."""
+    return PrunedSpectrum(field).columns(field.grid.n_mesh // 2 + 1)
+
+
+def full_plane_smooth(field, n_iter):
+    """smooth_density's values as one rfft2, the transfer function on every
+    half-plane column (its zeros included) and one irfft2."""
+    n = field.grid.n_mesh
+    axis = _transfer_axis(field.grid, n_iter)
+    st = int(n_iter) / field.grid.domain_width
+    transfer = np.outer(axis, axis[: n // 2 + 1]) / (2.0 * np.pi * st * st)
+    return np.fft.irfft2(np.fft.rfft2(field.values) * transfer, s=(n, n))
+
+
+def full_plane_correlations(field):
+    """consecutive_correlations on the full rfft2 half plane, every power column at once."""
+    grid = field.grid
+    s = np.fft.rfft2(field.values)
+    half = s.shape[1]
+    power = s.real * s.real + s.imag * s.imag
+    power[:, 1 : half - 1] *= 2.0
+    power[0, 0] = 0.0
+
+    def energy(u):
+        return float(u @ power @ u[:half])
+
+    prev = _transfer_axis(grid, 1)
+    prev_energy = energy(prev * prev)
+    for n in itertools.count(2):
+        axis = _transfer_axis(grid, n)
+        cur_energy = energy(axis * axis)
+        if cur_energy == 0.0 or prev_energy == 0.0:
+            raise ValueError("correlation undefined for a constant field")
+        r = energy(axis * prev) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
+        yield min(max(float(r), -1.0), 1.0)
+        prev, prev_energy = axis, cur_energy
 
 
 def smooth_density_direct(impulses, n_iter, grid):
@@ -31,7 +75,7 @@ def smooth_density_direct(impulses, n_iter, grid):
     st = int(n_iter) / grid.domain_width
     L = grid.domain_width
     dx = grid.pixel_size
-    centers = grid.pixel_centers()
+    centers = (np.arange(grid.n_mesh) + 0.5) * dx
     X1 = centers[np.newaxis, :]  # column coordinate (x1)
     X2 = centers[:, np.newaxis]  # row coordinate (x2)
     out = np.zeros((grid.n_mesh, grid.n_mesh), dtype=np.float64)

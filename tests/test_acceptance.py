@@ -16,7 +16,7 @@ import pytest
 import fcdm
 from fcdm import cli
 from fcdm.grid import DensityField, GridSpec
-from fcdm.spectral import half_spectrum, smooth_density
+from fcdm.spectral import PrunedSpectrum, smooth_density
 from oracles import smooth_density_direct
 
 
@@ -38,7 +38,7 @@ def test_criterion_1_spectral_route_matches_brute_force(n_mesh, n_iter):
     for (i, j), s in impulses:
         values[i, j] = s
     fft_route = smooth_density(
-        half_spectrum(DensityField(grid=grid, values=values)), n_iter
+        PrunedSpectrum(DensityField(grid=grid, values=values)), n_iter
     )
     oracle = smooth_density_direct(impulses, n_iter, grid)
     bound = 1e-4 * np.abs(oracle.values).max()
@@ -52,7 +52,7 @@ def test_criterion_2_probability_axioms(default_run):
     model = default_run["model"]
     assert model.grid.n_mesh == 512
     assert len(model.labels) == 3
-    stack = np.stack([f.values for f in model.probability_fields])
+    stack = model.probabilities
     assert np.abs(stack.sum(axis=0) - 1.0).max() <= 1e-9
     assert stack.min() >= -1e-12
 
@@ -102,15 +102,17 @@ def _naive_dft2(a):
 @pytest.mark.acceptance(criterion=5, name="DFT correctness")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_5_dft_against_naive_definition(seed):
-    # the production transform: half_spectrum is rfft2, columns 0..N/2 of
-    # the full DFT, and smooth_density inverts it with irfft2
+    # the production transform: PrunedSpectrum extended to its full width
+    # is rfft2, columns 0..N/2 of the full DFT, and smooth_density's
+    # inverse, a column ifft and then a row irfft, is irfft2
     grid = GridSpec(8)
     rng = np.random.default_rng(seed)
     field = DensityField(grid=grid, values=rng.uniform(-1, 1, (8, 8)))
     naive = _naive_dft2(field.values)[:, :5]
-    fast = half_spectrum(field).values
+    fast = PrunedSpectrum(field).columns(5)
     assert np.abs(fast - naive).max() <= 1e-10 * np.abs(naive).max()
-    back = np.fft.irfft2(fast, s=(8, 8))
+    back = np.fft.irfft(np.fft.ifft(fast, axis=0), n=8, axis=1)
+    assert back.tobytes() == np.fft.irfft2(fast, s=(8, 8)).tobytes()
     assert np.abs(back - field.values).max() <= 1e-12
     # Parseval on the half plane: columns 1..N/2-1 stand for their mirrors
     power = np.abs(fast) ** 2
@@ -131,7 +133,7 @@ def test_criterion_6_filter_zero_frequency(sigma_tilde):
     impulse = np.zeros((64, 64))
     impulse[0, 0] = 1.0
     n_iter = int(sigma_tilde * grid.domain_width)
-    out = smooth_density(half_spectrum(DensityField(grid=grid, values=impulse)), n_iter)
+    out = smooth_density(PrunedSpectrum(DensityField(grid=grid, values=impulse)), n_iter)
     expected = 1.0 / (2.0 * np.pi * sigma_tilde**2)
     assert abs(out.values.sum() - expected) <= 1e-12
 
@@ -168,8 +170,8 @@ def test_criterion_8_round_trip_bit_exact(default_run, tmp_path):
     fcdm.save_model(model, path)
     back = fcdm.load_model(path)
     assert back.labels == model.labels
-    assert len(back.probability_fields) == len(model.probability_fields)
-    for mine, loaded in zip(model.probability_fields, back.probability_fields):
-        assert mine.values.tobytes() == loaded.values.tobytes()
+    assert len(back.probabilities) == len(model.probabilities)
+    for mine, loaded in zip(model.probabilities, back.probabilities):
+        assert mine.tobytes() == loaded.tobytes()
     header = path.read_bytes()[:8]
     assert header == b"FCDM" + struct.pack("<I", 1)

@@ -4,7 +4,7 @@ import numpy as np
 
 import fcdm
 from fcdm.grid import DensityField, GridSpec
-from fcdm.spectral import half_spectrum, smooth_density
+from fcdm.spectral import PrunedSpectrum, smooth_density
 from fcdm.trainer import find_optimal_iteration
 
 EXPORTED = [
@@ -33,11 +33,11 @@ def test_exported_names_are_pinned():
 
 
 def test_exported_transform_path_composes():
-    # smooth_density and find_optimal_iteration take half_spectrum's
+    # smooth_density and find_optimal_iteration take a PrunedSpectrum
     # result, so the pipeline composes from its public modules
     grid = GridSpec(16)
     values = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=(16, 16))
-    spectrum = half_spectrum(DensityField(grid=grid, values=values))
+    spectrum = PrunedSpectrum(DensityField(grid=grid, values=values))
     assert smooth_density(spectrum, 2).grid == grid
     n_k, trace = find_optimal_iteration(spectrum, 0.01, 8)
     assert 3 <= n_k <= 8 and trace.n_k == n_k

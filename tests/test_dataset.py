@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ def test_spirals_noise_free_points_stay_near_center():
 def test_spirals_noise_arity_checked():
     with pytest.raises(ValueError, match="noise"):
         generate_spirals(3, 10, [0.01, 0.02], 1.75, 0)
+
+
+@pytest.mark.parametrize("turns", [float("nan"), float("inf"), float("-inf")])
+def test_spirals_reject_non_finite_turns_up_front(turns):
+    # named in the error, and raised before numpy warns about the angles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="turns must be finite"):
+            generate_spirals(3, 10, [0.01] * 3, turns, 0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_spirals_reject_non_finite_noise(sigma):
+    with pytest.raises(ValueError, match="noise sigmas must be finite"):
+        generate_spirals(2, 10, [0.01, sigma], 1.75, 0)
+
+
+def test_spirals_reject_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        generate_spirals(3, 10, [0.01] * 3, 1.75, -1)
+    assert len(generate_spirals(3, 10, [0.01] * 3, 1.75, 0)) == 30
 
 
 # ---------------------------------------------------------------- split

@@ -31,9 +31,12 @@ def test_pixel_size_exact():
 
 
 def test_pixel_centers():
-    centers = GridSpec(8).pixel_centers()
+    # the center of pixel (i, j) sits at ((j + 0.5) dx, (i + 0.5) dx)
+    grid = GridSpec(8)
+    centers = (np.arange(8) + 0.5) * grid.pixel_size
     assert centers[0] == 0.5 / 8
     assert centers[-1] == 7.5 / 8
+    assert [map_to_pixel((c, c), grid) for c in centers] == [(i, i) for i in range(8)]
 
 
 def test_map_center_point():

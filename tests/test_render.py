@@ -113,7 +113,7 @@ def test_decision_map_matches_pointwise_prediction():
 
 def _argmax_ppm(model):
     """The decision map as the stacked argmax over classes."""
-    stack = np.stack([f.values for f in model.probability_fields])
+    stack = model.probabilities
     palette = np.array(class_palette(len(model.labels)), dtype=np.uint8)
     n = model.grid.n_mesh
     return f"P6\n{n} {n}\n255\n".encode("ascii") + palette[stack.argmax(axis=0)].tobytes()

@@ -6,14 +6,21 @@ import fcdm.spectral
 from fcdm.dataset import generate_spirals, fit_scaler, normalize_dataset
 from fcdm.grid import DensityField, GridSpec, rasterize_signed
 from fcdm.spectral import (
+    PrunedSpectrum,
+    _support,
     _transfer_axis,
     _transfer_function,
     consecutive_correlations,
-    half_spectrum,
     smooth_density,
 )
-from fcdm.trainer import pearson_correlation
-from oracles import smooth, smooth_density_direct
+from fcdm.trainer import find_optimal_iteration, pearson_correlation, stopping_rule
+from oracles import (
+    full_plane_correlations,
+    full_plane_smooth,
+    half_plane,
+    smooth,
+    smooth_density_direct,
+)
 
 
 def naive_dft2(a):
@@ -43,13 +50,13 @@ def test_half_spectrum_matches_naive_definition():
     grid = GridSpec(8)
     field = _random_field(grid, 123)
     expected = naive_dft2(field.values)[:, :5]
-    got = half_spectrum(field).values
+    got = half_plane(field)
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_zero_field_has_zero_spectrum():
     grid = GridSpec(8)
-    spectrum = half_spectrum(DensityField(grid=grid, values=np.zeros((8, 8)))).values
+    spectrum = half_plane(DensityField(grid=grid, values=np.zeros((8, 8))))
     assert np.all(spectrum == 0)
 
 
@@ -57,7 +64,7 @@ def test_impulse_at_origin_has_flat_spectrum():
     grid = GridSpec(8)
     values = np.zeros((8, 8))
     values[0, 0] = 1.0
-    spectrum = half_spectrum(DensityField(grid=grid, values=values)).values
+    spectrum = half_plane(DensityField(grid=grid, values=values))
     assert spectrum.shape == (8, 5)
     assert np.abs(spectrum - 1.0).max() <= 1e-13
 
@@ -74,7 +81,7 @@ def test_round_trip_on_signed_raster():
     grid = GridSpec(16)
     rng = np.random.default_rng(7)
     values = rng.choice([-1.0, 0.0, 1.0], size=(16, 16))
-    back = np.fft.irfft2(half_spectrum(DensityField(grid=grid, values=values)).values, s=(16, 16))
+    back = np.fft.irfft2(half_plane(DensityField(grid=grid, values=values)), s=(16, 16))
     assert np.abs(back - values).max() <= 1e-12
 
 
@@ -84,14 +91,14 @@ def test_parseval(seed):
     # on the half plane columns 1..N/2-1 also stand for their mirrors
     grid = GridSpec(16)
     field = _random_field(grid, seed)
-    power = np.abs(half_spectrum(field).values) ** 2
+    power = np.abs(half_plane(field)) ** 2
     power[:, 1:8] *= 2.0
     spatial = float((field.values**2).sum())
     spectral = float(power.sum()) / grid.n_mesh**2
     assert abs(spatial - spectral) <= 1e-10 * max(spatial, 1.0)
 
 
-def test_wrapped_frequency_layout(monkeypatch):
+def test_wrapped_frequency_layout(monkeypatch, cold_transfer_caches):
     # the filter reads its axis frequencies from np.fft.fftfreq at the
     # pixel spacing, which gives the wrapped layout in units of 1 / L
     fftfreq = fcdm.spectral.np.fft.fftfreq
@@ -134,8 +141,43 @@ def test_filter_even_symmetry(n_iter, exponent):
     n = 2**exponent
     transfer = _transfer_function(GridSpec(n), n_iter)
     assert np.array_equal(transfer, transfer[(-np.arange(n)) % n])
-    block = transfer[: n // 2 + 1]
+    width = transfer.shape[1]
+    block = transfer[:width]
     assert np.array_equal(block, block.T)
+
+
+@pytest.mark.parametrize("n_mesh", [64, 256, 1024, 2048])
+@pytest.mark.parametrize("n_iter", [1, 5, 6, 32])
+def test_filter_stops_where_its_axis_is_exactly_zero(n_mesh, n_iter):
+    # the stored columns end at the last nonzero of the axis; every later
+    # half-plane column of the full outer product is exactly 0.0
+    grid = GridSpec(n_mesh)
+    axis = _transfer_axis(grid, n_iter)
+    width = _transfer_function(grid, n_iter).shape[1]
+    assert width == _support(axis)
+    assert axis[width - 1] != 0.0
+    assert not axis[width : n_mesh // 2 + 1].any()
+
+
+@pytest.mark.parametrize("n_iter, width", [(5, 194), (6, 232)])
+def test_filter_support_is_mesh_independent(n_iter, width):
+    # exp underflows at the same frequency whatever the mesh, once the
+    # mesh is fine enough for the aliased copies to underflow as well
+    for n_mesh in (512, 1024, 2048):
+        assert _support(_transfer_axis(GridSpec(n_mesh), n_iter)) == width
+
+
+def test_transfer_axes_and_functions_are_memoised_read_only(cold_transfer_caches):
+    grid = GridSpec(64)
+    axis = _transfer_axis(grid, 3)
+    assert _transfer_axis(GridSpec(64), 3) is axis
+    transfer = _transfer_function(grid, 3)
+    assert _transfer_function(GridSpec(64), 3) is transfer
+    for shared in (axis, transfer):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+    assert _transfer_axis.cache_info().maxsize <= 64
+    assert _transfer_function.cache_info().maxsize <= 4
 
 
 def test_filter_rejects_nonpositive_sigma():
@@ -223,7 +265,7 @@ def test_direct_route_empty_and_cancelling_inputs():
     assert np.all(smooth_density_direct(pair, 2, grid).values == 0)
 
 
-def test_uneven_transfer_function_rejected(monkeypatch):
+def test_uneven_transfer_function_rejected(monkeypatch, cold_transfer_caches):
     # irfft2 returns a real field even when the filtered spectrum is not
     # conjugate-symmetric; an uneven transfer axis must raise instead
     even = fcdm.spectral._aliased_gaussian
@@ -235,7 +277,7 @@ def test_uneven_transfer_function_rejected(monkeypatch):
 
     monkeypatch.setattr(fcdm.spectral, "_aliased_gaussian", uneven)
     grid = GridSpec(16)
-    spectrum = half_spectrum(_random_field(grid, 3))
+    spectrum = PrunedSpectrum(_random_field(grid, 3))
     with pytest.raises(ValueError, match="even"):
         smooth_density(spectrum, 2)
     with pytest.raises(ValueError, match="even"):
@@ -282,3 +324,101 @@ def test_correlation_with_raster_grows_with_bandwidth():
         pearson_correlation(smooth(raster, n), raster) for n in range(1, 9)
     ]
     assert all(b >= a for a, b in zip(corrs, corrs[1:]))
+
+
+# ------------------------------------------- pruned transforms, bit for bit
+# The pruned pair must reproduce the full-plane rfft2 / irfft2 route
+# exactly: the same bytes, not the same values to within roundoff.
+
+def _sparse_raster(mesh, seed, fill):
+    rng = np.random.default_rng(seed)
+    occupied = rng.random((mesh, mesh)) < fill
+    occupied.flat[rng.integers(mesh * mesh)] = True
+    signs = np.where(rng.random((mesh, mesh)) < 0.5, -1.0, 1.0)
+    return DensityField(grid=GridSpec(mesh), values=np.where(occupied, signs, 0.0))
+
+
+def _assert_bit_identical(raster, epsilon, n_max):
+    """Search, smoothing and spectrum of the pruned path against the full plane."""
+    spectrum = PrunedSpectrum(raster)
+    n_k, trace = find_optimal_iteration(spectrum, epsilon, n_max)
+    assert trace == stopping_rule(full_plane_correlations(raster), epsilon, n_max)
+    for n in sorted({1, n_k, n_k + 1, n_max}):
+        pruned = smooth_density(spectrum, n).values
+        assert pruned.tobytes() == full_plane_smooth(raster, n).tobytes()
+    full = spectrum.columns(raster.grid.n_mesh // 2 + 1).view(np.float64)
+    reference = np.fft.rfft2(raster.values).view(np.float64)
+    # bit for bit but for the sign of exact zeros: rfft writes -0.0 into
+    # some imaginary parts of an empty row, which the pruned path skips
+    differs = full.view(np.uint64) != reference.view(np.uint64)
+    assert np.array_equal(full, reference) and not full[differs].any()
+    return spectrum, trace
+
+
+@given(
+    mesh=st.sampled_from([8, 16, 32, 64, 128, 256]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    fill=st.floats(min_value=0.0005, max_value=0.5),
+    epsilon=st.sampled_from([1e-3, 1e-2, 3e-2]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pruned_path_is_bit_identical_to_full_plane(mesh, seed, fill, epsilon):
+    # sparse draws leave many rows empty, dense ones none
+    _assert_bit_identical(_sparse_raster(mesh, seed, fill), epsilon, max(4, mesh // 8))
+
+
+def test_forward_transform_skips_empty_rows(monkeypatch):
+    raster = DensityField(grid=GridSpec(64), values=np.zeros((64, 64)))
+    raster.values[3, [5, 60]] = (1.0, -1.0)
+    raster.values[40, 17] = 1.0
+    rfft = fcdm.spectral.np.fft.rfft
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(fcdm.spectral.np.fft, "rfft", recorded)
+    _assert_bit_identical(raster, 0.01, 8)
+    assert shapes == [(2, 64)]
+
+
+def test_fully_occupied_raster_is_bit_identical():
+    rng = np.random.default_rng(5)
+    values = np.where(rng.random((128, 128)) < 0.5, -1.0, 1.0)
+    _assert_bit_identical(DensityField(grid=GridSpec(128), values=values), 0.01, 16)
+
+
+def test_capped_search_grows_to_the_full_half_plane(monkeypatch):
+    # never flattens below 1e-300, so every step up to n_max = N / 8 is
+    # read and the support widens until it covers columns 0..N/2
+    fft = fcdm.spectral.np.fft.fft
+    widths = []
+
+    def recorded(a, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(fcdm.spectral.np.fft, "fft", recorded)
+    raster = _sparse_raster(512, 11, 0.01)
+    spectrum, trace = _assert_bit_identical(raster, 1e-300, 64)
+    assert (trace.n_k, trace.converged) == (64, False)
+    # one column fft per growth step, each on the new columns only
+    supports = [39, 78, 116, 155, 194, 232, 257]
+    assert widths == np.diff([0] + supports).tolist()
+    assert spectrum.width == 257
+
+
+def test_keep_frees_rows_and_columns_past_the_support():
+    raster = _sparse_raster(1024, 3, 0.001)
+    spectrum = PrunedSpectrum(raster)
+    n_k, _ = find_optimal_iteration(spectrum, 0.01, 128)
+    assert spectrum.width == _support(_transfer_axis(raster.grid, n_k + 1))
+    spectrum.keep(n_k)
+    width = _support(_transfer_axis(raster.grid, n_k))
+    assert spectrum.width == width
+    assert spectrum.columns(width).flags.c_contiguous
+    expected = full_plane_smooth(raster, n_k)
+    assert smooth_density(spectrum, n_k).values.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match=f"keeps {width} columns"):
+        smooth_density(spectrum, n_k + 1)

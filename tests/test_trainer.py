@@ -7,7 +7,7 @@ import fcdm.trainer
 from fcdm.dataset import Dataset, generate_spirals, split
 from fcdm.grid import DensityField, GridSpec
 from fcdm.model_io import model_to_bytes
-from fcdm.spectral import half_spectrum
+from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis, _transfer_function
 from fcdm.trainer import (
     ClassifierModel,
     ConvergenceTrace,
@@ -167,7 +167,7 @@ def test_threshold_never_met_returns_cap_with_flag():
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(32)
     raster = rasterize_signed(normalized, "c0", grid)
-    n_k, trace = find_optimal_iteration(half_spectrum(raster), 1e-12, 6)
+    n_k, trace = find_optimal_iteration(PrunedSpectrum(raster), 1e-12, 6)
     assert n_k == trace.n_k == 6
     assert not trace.converged
     # searched every center 3..5: c(2)..c(6) plus three second differences
@@ -178,7 +178,7 @@ def test_threshold_never_met_returns_cap_with_flag():
 
 def test_search_validates_arguments():
     grid = GridSpec(8)
-    spectrum = half_spectrum(DensityField(grid=grid, values=np.eye(8)))
+    spectrum = PrunedSpectrum(DensityField(grid=grid, values=np.eye(8)))
     with pytest.raises(ValueError):
         find_optimal_iteration(spectrum, 0.0, 8)
     with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ def test_trace_index_helpers():
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(64)
     raster = rasterize_signed(normalized, "c1", grid)
-    n_k, trace = find_optimal_iteration(half_spectrum(raster), 0.01, 8)
+    n_k, trace = find_optimal_iteration(PrunedSpectrum(raster), 0.01, 8)
     assert n_k == trace.n_k
     assert trace.second_derivative_at(3) == trace.second_derivatives[0]
     if trace.converged:
@@ -240,7 +240,7 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
     raster = DensityField(grid=grid, values=np.where(occupied, signs, 0.0))
     n_max = max(4, mesh // 8)
     n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, epsilon, n_max)
-    n_k, trace = find_optimal_iteration(half_spectrum(raster), epsilon, n_max)
+    n_k, trace = find_optimal_iteration(PrunedSpectrum(raster), epsilon, n_max)
     assert n_k == n_ref
     assert trace.converged == conv_ref
     assert len(trace.correlations) == len(corr_ref)
@@ -255,7 +255,7 @@ def test_constant_raster_rejected_by_both_searches(mesh):
     with pytest.raises(ValueError, match="constant"):
         _spatial_search(raster, 0.01, 4)
     with pytest.raises(ValueError, match="constant"):
-        find_optimal_iteration(half_spectrum(raster), 0.01, 4)
+        find_optimal_iteration(PrunedSpectrum(raster), 0.01, 4)
 
 
 # ---------------------------------------------------- build_probabilities
@@ -396,8 +396,8 @@ def test_far_apart_two_point_classes():
     # scaling stretches the two points onto corner pixels (0,0) and (31,31)
     assert not model.traces[0].converged  # capped at n_max = 4
     assert model.n_final == 4
-    p_a = model.probability_fields[0].values
-    p_b = model.probability_fields[1].values
+    p_a = model.probabilities[0]
+    p_b = model.probabilities[1]
     assert p_a[0, 0] > 0.5
     assert p_b[31, 31] > 0.5
 
@@ -416,11 +416,19 @@ def test_far_apart_two_point_classes():
     assert np.abs(brute[0] - p_a).max() <= 1e-3
 
 
+def _growth_steps(grid, n_reads):
+    """Column-fft calls of a spectrum whose search and smoothing read steps n_reads."""
+    widths = np.maximum.accumulate([_support(_transfer_axis(grid, n)) for n in n_reads])
+    return int(np.count_nonzero(np.diff(widths, prepend=0)))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_train_transforms_each_class_once(monkeypatch, k):
-    # one forward and one inverse real transform per class: the search
-    # runs on the spectrum and the final smoothing reuses it
-    calls = {"rfft2": 0, "irfft2": 0, "fft2": 0, "ifft2": 0}
+    # per class one row rfft and, at the end, one column ifft and one row
+    # irfft; the column fft runs once per widening of the filter's
+    # support, on the new columns only; no 2-D transform at all
+    names = ["rfft", "fft", "ifft", "irfft", "rfft2", "irfft2", "fft2", "ifft2"]
+    calls = dict.fromkeys(names, 0)
     fft = fcdm.spectral.np.fft
     assert fcdm.trainer.np.fft is fft
     for name in calls:
@@ -432,9 +440,25 @@ def test_train_transforms_each_class_once(monkeypatch, k):
 
         monkeypatch.setattr(fft, name, counted)
     data = generate_spirals(k, 80, [0.01] * k, 1.75, 4)
-    model = train(data, TrainConfig(n_mesh=64))
-    assert len(model.probability_fields) == k
-    assert calls == {"rfft2": k, "irfft2": k, "fft2": 0, "ifft2": 0}
+    model = train(data, TrainConfig(n_mesh=512))
+    assert len(model.probabilities) == k
+    grid = model.grid
+    # the search reads steps 1..n_k + 1, the final smoothing n_final
+    growth = sum(
+        _growth_steps(grid, [*range(1, t.n_k + 2), model.n_final]) for t in model.traces
+    )
+    assert growth > k  # at mesh 512 the support widens step by step
+    assert calls == {
+        "rfft": k, "fft": growth, "ifft": k, "irfft": k,
+        "rfft2": 0, "irfft2": 0, "fft2": 0, "ifft2": 0,
+    }
+
+
+def test_train_builds_the_final_transfer_function_once(cold_transfer_caches):
+    data = generate_spirals(3, 80, [0.01] * 3, 1.75, 4)
+    train(data, TrainConfig(n_mesh=256))
+    info = _transfer_function.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_train_is_deterministic():
