@@ -70,33 +70,17 @@ def _build_parser():
     return parser
 
 
-def _parse_noise(text, n_classes):
-    try:
-        sigmas = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse --noise {text!r}") from None
-    if len(sigmas) != n_classes:
-        raise UsageError(
-            f"--noise lists {len(sigmas)} values for {n_classes} classes"
-        )
-    if any(not math.isfinite(s) or s < 0 for s in sigmas):
-        raise UsageError("--noise values must be finite and nonnegative")
-    return sigmas
-
-
 def _cmd_generate(args):
-    if args.classes < 2:
-        raise UsageError(f"--classes must be at least 2, got {args.classes}")
-    if args.per_class < 1:
-        raise UsageError(f"--per-class must be at least 1, got {args.per_class}")
-    if not math.isfinite(args.turns):
-        raise UsageError(f"--turns must be finite, got {args.turns}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-    sigmas = _parse_noise(args.noise, args.classes)
-    data = ds.generate_spirals(
-        args.classes, args.per_class, sigmas, args.turns, args.seed
-    )
+    try:
+        sigmas = [float(part) for part in args.noise.split(",")]
+    except ValueError:
+        raise UsageError(f"cannot parse --noise {args.noise!r}") from None
+    try:
+        data = ds.generate_spirals(
+            args.classes, args.per_class, sigmas, args.turns, args.seed
+        )
+    except ValueError as exc:  # the argument rules live in generate_spirals
+        raise UsageError(str(exc)) from None
     ds.write_csv(data, args.out)
     print(f"wrote {args.out}: {len(data)} points, {len(data.labels)} classes")
     return 0

@@ -11,12 +11,9 @@ filter axis is a sum of Gaussians whose float64 exp underflows to 0.0
 (from column 194 on at n = 5, at any mesh of 512 or more), and a column
 multiplied by exact zeros adds exact zeros to the smoothed field and to
 every correlation sum. So the column fft and ifft skip the columns past
-the filter's reach and the row rfft skips empty rows (they transform to
-zeros). numpy computes each 1-D transform on its own, so smoothed fields
-and correlations are bit for bit those of rfft2 (row rfft, column fft)
-and irfft2 (column ifft, row irfft). The spectrum differs from rfft2's
-only in the sign of exact zeros, which no sum or product can show: rfft
-writes -0.0 into some imaginary parts of an empty row.
+the filter's reach. numpy computes each 1-D transform on its own, so the
+spectrum, smoothed fields and correlations are bit for bit those of
+rfft2 (row rfft, column fft) and irfft2 (column ifft, row irfft).
 """
 
 import functools
@@ -93,34 +90,28 @@ def _transfer_function(grid, n_iter):
 class PrunedSpectrum:
     """A real field's rfft2 half plane, column-transformed only as far as it is read.
 
-    Construction runs the row rfft on the rows holding a nonzero pixel.
-    columns(m) is columns 0..m-1, an (N, m) view; the column fft runs only
-    on those not computed yet, into a preallocated buffer. keep(n_iter)
-    frees the rows and the columns smoothing at n_iter does not read.
+    Construction runs the row rfft. columns(m) is columns 0..m-1, an
+    (N, m) view; the column fft runs in place only on those not computed
+    yet. keep(n_iter) frees the columns smoothing at n_iter does not read.
     """
 
     def __init__(self, density):
-        values = density.values
-        occupied = values.any(axis=1)
         self.grid = density.grid
-        self._rows = np.zeros((len(values), len(values) // 2 + 1), dtype=np.complex128)
-        self._rows[occupied] = np.fft.rfft(values[occupied], axis=1)
-        self._columns = np.empty_like(self._rows)
+        self._buf = np.fft.rfft(density.values, axis=1)
         self.width = 0
 
     def columns(self, m):
         if m > self.width:
-            if self._rows is None:
+            if m > self._buf.shape[1]:
                 raise ValueError(f"spectrum keeps {self.width} columns, {m} requested")
             new = slice(self.width, m)
-            self._columns[:, new] = np.fft.fft(self._rows[:, new], axis=0)
+            self._buf[:, new] = np.fft.fft(self._buf[:, new], axis=0)
             self.width = m
-        return self._columns[:, :m]
+        return self._buf[:, :m]
 
     def keep(self, n_iter):
         m = _support(_transfer_axis(self.grid, n_iter))
-        self._columns = np.ascontiguousarray(self.columns(m))  # copies unless m is the full width
-        self._rows = None
+        self._buf = np.ascontiguousarray(self.columns(m))  # copies unless m is the full width
         self.width = m
 
 

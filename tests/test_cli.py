@@ -94,7 +94,7 @@ def test_generate_non_finite_turns_is_usage_error(tmp_path, capsys, recwarn, tur
     out = tmp_path / "x.csv"
     code, _ = _run(["generate", f"--turns={turns}", "--out", str(out)])
     assert code == 2
-    assert "--turns must be finite" in capsys.readouterr().err
+    assert "turns must be finite" in capsys.readouterr().err
     assert not out.exists()
     assert len(recwarn) == 0  # rejected before any arithmetic runs
 
@@ -103,7 +103,20 @@ def test_generate_negative_seed_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, _ = _run(["generate", "--seed", "-1", "--out", str(out)])
     assert code == 2
-    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--classes", "1", "--noise", "0.01"], "need at least 2 classes, got 1"),
+    (["--per-class", "0"], "need at least 1 point per class, got 0"),
+    (["--noise", "0.01,inf,0.02"], "noise sigmas must be finite and nonnegative"),
+])
+def test_generate_argument_rules_are_usage_errors(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    code, _ = _run(["generate", *flags, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

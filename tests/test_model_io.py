@@ -308,10 +308,9 @@ def test_training_peak_stays_below_three_and_a_half_payloads(cold_transfer_cache
 
 
 def test_training_peak_at_mesh_1024(cold_transfer_caches):
-    # measured at 2.34 payloads (58.8 MB) with numpy 2.4: the row
-    # transforms and column buffers of the three spectra during the
-    # search. Padding the irfft input to N complex columns, as numpy < 2
-    # does, moves the peak to the final smoothing at 2.57. The full-plane
+    # measured at 1.95 payloads (49.0 MB) with numpy 2.4, and at 2.57
+    # when the irfft input is padded to N complex columns as numpy < 2
+    # pads it; the peak is in the final smoothing. The full-plane
     # rfft2 / irfft2 route peaked at 3.17 (3.50 with that padding).
     data = generate_spirals(3, 100, [0.01, 0.015, 0.02], 1.75, 5)
     model, peak = _traced_peak(lambda: train(data, TrainConfig(n_mesh=1024)))
