@@ -1,6 +1,7 @@
 """Equidistant unit-square mesh and signed one-vs-rest rasterization."""
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,9 @@ class GridSpec:
 
     def __post_init__(self):
         n = self.n_mesh
-        if not isinstance(n, int) or n < 8 or n & (n - 1):
+        if not hasattr(n, "__index__") or n < 8 or n & (n - 1):
             raise ValueError(f"n_mesh must be a power of two >= 8, got {n!r}")
+        object.__setattr__(self, "n_mesh", operator.index(n))  # numpy integers become int
 
     @property
     def pixel_size(self):

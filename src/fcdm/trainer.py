@@ -7,6 +7,7 @@ all classes is the largest of the per-class stops, which keeps every
 class at least as sharp as its own optimum.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +30,14 @@ class TrainConfig:
     n_max: int = None
 
     def __post_init__(self):
-        GridSpec(self.n_mesh)  # the mesh rule lives there; raises ValueError
+        self.n_mesh = GridSpec(self.n_mesh).n_mesh  # the mesh rule lives there
         if self.n_max is None:
             self.n_max = self.n_mesh // 8
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (isinstance(self.n_max, int) and self.n_max >= 4):
+        if not (hasattr(self.n_max, "__index__") and self.n_max >= 4):
             raise ValueError(f"n_max must be an integer of at least 4, got {self.n_max!r}")
+        self.n_max = operator.index(self.n_max)
 
 
 @dataclass
@@ -43,17 +45,18 @@ class ConvergenceTrace:
     """Diagnostics from one class's bandwidth search.
 
     correlations[t] is c(n) for n = 2 + t: the Pearson correlation between
-    the fields smoothed at n and n - 1. second_derivatives[t] is the
-    central difference d2(n) = c(n+1) - 2 c(n) + c(n-1) for n = 3 + t.
+    the fields smoothed at n and n - 1. second_derivatives[t], computed from
+    it, is the central difference d2(n) = c(n+1) - 2 c(n) + c(n-1), n = 3 + t.
     """
 
     correlations: list
-    second_derivatives: list
     n_k: int
     converged: bool
 
-    def second_derivative_at(self, n):
-        return self.second_derivatives[n - 3]
+    @property
+    def second_derivatives(self):
+        c = self.correlations
+        return [c[t + 2] - 2.0 * c[t + 1] + c[t] for t in range(len(c) - 2)]
 
 
 @dataclass
@@ -150,16 +153,11 @@ def stopping_rule(correlations, epsilon, n_max):
     if n_max < 4:
         raise ValueError(f"n_max must be at least 4, got {n_max}")
     corr = []
-    d2s = []
     for n, c in zip(range(2, n_max + 1), correlations):
         corr.append(c)
-        if len(corr) < 3:
-            continue
-        d2 = corr[-1] - 2.0 * corr[-2] + corr[-3]
-        d2s.append(d2)
-        if abs(d2) < epsilon:
-            return ConvergenceTrace(corr, d2s, n_k=n - 1, converged=True)
-    return ConvergenceTrace(corr, d2s, n_k=n_max, converged=False)
+        if len(corr) >= 3 and abs(corr[-1] - 2.0 * corr[-2] + corr[-3]) < epsilon:
+            return ConvergenceTrace(corr, n_k=n - 1, converged=True)
+    return ConvergenceTrace(corr, n_k=n_max, converged=False)
 
 
 def find_optimal_iteration(spectrum, epsilon, n_max):
@@ -168,10 +166,9 @@ def find_optimal_iteration(spectrum, epsilon, n_max):
     spectrum is PrunedSpectrum(raster). c(n) is the Pearson correlation of
     the raster smoothed at steps n and n - 1, computed from the spectrum
     by Parseval's theorem (consecutive_correlations), with no inverse
-    transform. Returns (n_k, trace).
+    transform. Returns the ConvergenceTrace.
     """
-    trace = stopping_rule(consecutive_correlations(spectrum), epsilon, n_max)
-    return trace.n_k, trace
+    return stopping_rule(consecutive_correlations(spectrum), epsilon, n_max)
 
 
 def build_probabilities(probs):
@@ -213,13 +210,13 @@ def train(data, config=None):
     normalized = normalize_dataset(data, scaler)
     grid = GridSpec(n_mesh=config.n_mesh)
     spectra = [PrunedSpectrum(rasterize_signed(normalized, lab, grid)) for lab in data.labels]
-    traces = [find_optimal_iteration(s, config.epsilon, config.n_max)[1] for s in spectra]
+    traces = [find_optimal_iteration(s, config.epsilon, config.n_max) for s in spectra]
     n_final = max(t.n_k for t in traces)
     for s in spectra:
         s.keep(n_final)
     probs = np.empty((len(spectra), grid.n_mesh, grid.n_mesh))
     for k, s in enumerate(spectra):
-        probs[k] = smooth_density(s, n_final).values
+        probs[k] = smooth_density(s, n_final)
     del spectra
     build_probabilities(probs)
     return ClassifierModel(

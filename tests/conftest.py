@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 import fcdm
-from fcdm.spectral import _transfer_axis, _transfer_function
+from fcdm.spectral import _transfer_axis
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -85,13 +85,11 @@ def small_model():
 
 @pytest.fixture
 def cold_transfer_caches():
-    """Empty the memoised transfer axes and functions before and after a test.
+    """Empty the memoised transfer axes before and after a test.
 
-    For tests that patch what the transfer function is built from, count
-    what building it allocates, or count how often it is built.
+    For tests that patch what the transfer axes are built from, or count
+    what building them allocates.
     """
-    for cached in (_transfer_axis, _transfer_function):
-        cached.cache_clear()
+    _transfer_axis.cache_clear()
     yield
-    for cached in (_transfer_axis, _transfer_function):
-        cached.cache_clear()
+    _transfer_axis.cache_clear()

@@ -11,12 +11,11 @@ import itertools
 
 import numpy as np
 
-from fcdm.grid import DensityField
 from fcdm.spectral import PrunedSpectrum, _transfer_axis, smooth_density
 
 
 def smooth(field, n_iter):
-    """smooth_density applied to a DensityField through its own spectrum."""
+    """smooth_density applied to a DensityField through its own spectrum; an array."""
     return smooth_density(PrunedSpectrum(field), n_iter)
 
 
@@ -69,6 +68,7 @@ def smooth_density_direct(impulses, n_iter, grid):
     which limits the accuracy at small n_iter (wide kernels): up to a few
     1e-9 relative to the peak at n_iter = 1, roundoff from n_iter = 2.
     Intended for oracle checks on small grids, not production use.
+    Returns the (N, N) array.
     """
     if n_iter != int(n_iter) or int(n_iter) < 1:
         raise ValueError(f"iteration number must be a positive integer, got {n_iter}")
@@ -90,4 +90,4 @@ def smooth_density_direct(impulses, n_iter, grid):
                 d2 = X2 - c2 + m2
                 acc += np.exp(-coef * (d1 * d1 + d2 * d2))
         out += float(sign) * acc
-    return DensityField(grid=grid, values=dx * dx * out)
+    return dx * dx * out

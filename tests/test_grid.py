@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,16 @@ def test_gridspec_rejects_bad_sizes():
     for n in (0, 4, 7, 100, 500, -8):
         with pytest.raises(ValueError):
             GridSpec(n)
+
+
+def test_gridspec_stores_any_integer_as_int():
+    for n in (np.int64(64), np.uint16(64), np.int32(64)):
+        grid = GridSpec(n)
+        assert type(grid.n_mesh) is int
+        assert grid == GridSpec(64) and hash(grid) == hash(GridSpec(64))
+    for bad in (64.0, np.float64(64), "64", None):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            GridSpec(bad)
 
 
 def test_domain_width_is_fixed_at_one():

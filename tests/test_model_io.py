@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcdm.spectral
 from fcdm.dataset import FeatureScaler, generate_spirals
 from fcdm.grid import GridSpec
 from fcdm.model_io import (
@@ -308,7 +309,7 @@ def test_training_peak_stays_below_three_and_a_half_payloads(cold_transfer_cache
 
 
 def test_training_peak_at_mesh_1024(cold_transfer_caches):
-    # measured at 1.95 payloads (49.0 MB) with numpy 2.4, and at 2.57
+    # measured at 1.84 payloads (46.3 MB) with numpy 2.4, and at 2.51
     # when the irfft input is padded to N complex columns as numpy < 2
     # pads it; the peak is in the final smoothing. The full-plane
     # rfft2 / irfft2 route peaked at 3.17 (3.50 with that padding).
@@ -317,3 +318,25 @@ def test_training_peak_at_mesh_1024(cold_transfer_caches):
     payload = model.probabilities.nbytes
     assert payload == 3 * 1024 * 1024 * 8
     assert peak < 2.75 * payload
+
+
+@pytest.mark.parametrize("n_mesh, bound", [(256, 3.5), (1024, 2.75)])
+def test_training_peak_with_numpy_1_irfft_padding(monkeypatch, cold_transfer_caches,
+                                                  n_mesh, bound):
+    # numpy < 2 pads irfft's half-plane input to N complex columns before
+    # transforming; doing the same here puts that peak under the two
+    # guards above on every numpy version
+    irfft = fcdm.spectral.np.fft.irfft
+
+    def padded(a, n, axis):
+        assert axis == 1
+        full = np.zeros((len(a), n), dtype=complex)
+        full[:, : a.shape[1]] = a
+        return irfft(full, n=n, axis=axis)
+
+    monkeypatch.setattr(fcdm.spectral.np.fft, "irfft", padded)
+    data = generate_spirals(3, 100, [0.01, 0.015, 0.02], 1.75, 5)
+    model, peak = _traced_peak(lambda: train(data, TrainConfig(n_mesh=n_mesh)))
+    payload = model.probabilities.nbytes
+    assert payload == 3 * n_mesh * n_mesh * 8
+    assert peak < bound * payload

@@ -168,16 +168,15 @@ def test_filter_support_is_mesh_independent(n_iter, width):
 
 
 def test_transfer_axes_and_functions_are_memoised_read_only(cold_transfer_caches):
+    # the N-float axes are shared and read-only; the (N, m) transfer
+    # functions are built per call, so no cache keeps one alive
     grid = GridSpec(64)
     axis = _transfer_axis(grid, 3)
     assert _transfer_axis(GridSpec(64), 3) is axis
-    transfer = _transfer_function(grid, 3)
-    assert _transfer_function(GridSpec(64), 3) is transfer
-    for shared in (axis, transfer):
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        axis[0] = 0.0
     assert _transfer_axis.cache_info().maxsize <= 64
-    assert _transfer_function.cache_info().maxsize <= 4
+    assert _transfer_function(grid, 3) is not _transfer_function(grid, 3)
 
 
 def test_filter_rejects_nonpositive_sigma():
@@ -197,7 +196,8 @@ def test_filter_decreases_with_frequency():
 def test_smooth_zero_raster_is_zero():
     grid = GridSpec(32)
     out = smooth(DensityField(grid=grid, values=np.zeros((32, 32))), 3)
-    assert np.abs(out.values).max() <= 1e-15
+    assert out.shape == (32, 32) and out.dtype == np.float64
+    assert np.abs(out).max() <= 1e-15
 
 
 def test_smooth_rejects_bad_iteration():
@@ -214,12 +214,12 @@ def test_center_impulse_matches_gaussian_bump():
     values[32, 32] = 1.0
     out = smooth(DensityField(grid=grid, values=values), 2)
     direct = smooth_density_direct([((32, 32), 1.0)], 2, grid)
-    bound = 1e-4 * np.abs(direct.values).max()
-    assert np.abs(out.values - direct.values).max() <= bound
+    bound = 1e-4 * np.abs(direct).max()
+    assert np.abs(out - direct).max() <= bound
     # peak sits at the impulse with height dx^2 (images are negligible here)
     dx2 = grid.pixel_size**2
-    assert abs(out.values[32, 32] - dx2) <= 1e-12 * dx2
-    assert out.values.max() == out.values[32, 32]
+    assert abs(out[32, 32] - dx2) <= 1e-12 * dx2
+    assert out.max() == out[32, 32]
 
 
 @pytest.mark.parametrize(
@@ -235,8 +235,8 @@ def test_single_impulse_matches_direct_route(n_mesh, n_iter):
     values[0, 0] = 1.0
     out = smooth(DensityField(grid=grid, values=values), n_iter)
     direct = smooth_density_direct([((0, 0), 1.0)], n_iter, grid)
-    bound = 1e-4 * np.abs(direct.values).max()
-    assert np.abs(out.values - direct.values).max() <= bound
+    bound = 1e-4 * np.abs(direct).max()
+    assert np.abs(out - direct).max() <= bound
 
 
 def test_twenty_random_impulses_match_direct_route():
@@ -254,15 +254,15 @@ def test_twenty_random_impulses_match_direct_route():
     for n in (1, 2, 3, 4):
         fft_route = smooth(raster, n)
         direct = smooth_density_direct(impulses, n, grid)
-        bound = 1e-4 * np.abs(direct.values).max()
-        assert np.abs(fft_route.values - direct.values).max() <= bound
+        bound = 1e-4 * np.abs(direct).max()
+        assert np.abs(fft_route - direct).max() <= bound
 
 
 def test_direct_route_empty_and_cancelling_inputs():
     grid = GridSpec(16)
-    assert np.all(smooth_density_direct([], 2, grid).values == 0)
+    assert np.all(smooth_density_direct([], 2, grid) == 0)
     pair = [((3, 5), 1.0), ((3, 5), -1.0)]
-    assert np.all(smooth_density_direct(pair, 2, grid).values == 0)
+    assert np.all(smooth_density_direct(pair, 2, grid) == 0)
 
 
 def test_uneven_transfer_function_rejected(monkeypatch, cold_transfer_caches):
@@ -292,8 +292,8 @@ def test_smoothing_is_linear(seed, n_iter):
     a = _random_field(grid, seed)
     b = _random_field(grid, seed + 1)
     combined = DensityField(grid=grid, values=a.values + b.values)
-    lhs = smooth(combined, n_iter).values
-    rhs = smooth(a, n_iter).values + smooth(b, n_iter).values
+    lhs = smooth(combined, n_iter)
+    rhs = smooth(a, n_iter) + smooth(b, n_iter)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -306,9 +306,9 @@ def test_smoothing_commutes_with_cyclic_shifts(di, dj):
     grid = GridSpec(16)
     field = _random_field(grid, 99)
     n_iter = 2
-    smoothed = smooth(field, n_iter).values
+    smoothed = smooth(field, n_iter)
     shifted_in = DensityField(grid=grid, values=np.roll(field.values, (di, dj), (0, 1)))
-    lhs = smooth(shifted_in, n_iter).values
+    lhs = smooth(shifted_in, n_iter)
     rhs = np.roll(smoothed, (di, dj), (0, 1))
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(smoothed).max())
 
@@ -321,7 +321,8 @@ def test_correlation_with_raster_grows_with_bandwidth():
     grid = GridSpec(64)
     raster = rasterize_signed(normalized, "c0", grid)
     corrs = [
-        pearson_correlation(smooth(raster, n), raster) for n in range(1, 9)
+        pearson_correlation(DensityField(grid=grid, values=smooth(raster, n)), raster)
+        for n in range(1, 9)
     ]
     assert all(b >= a for a, b in zip(corrs, corrs[1:]))
 
@@ -341,10 +342,10 @@ def _sparse_raster(mesh, seed, fill):
 def _assert_bit_identical(raster, epsilon, n_max):
     """Search, smoothing and spectrum of the pruned path against the full plane."""
     spectrum = PrunedSpectrum(raster)
-    n_k, trace = find_optimal_iteration(spectrum, epsilon, n_max)
+    trace = find_optimal_iteration(spectrum, epsilon, n_max)
     assert trace == stopping_rule(full_plane_correlations(raster), epsilon, n_max)
-    for n in sorted({1, n_k, n_k + 1, n_max}):
-        pruned = smooth_density(spectrum, n).values
+    for n in sorted({1, trace.n_k, trace.n_k + 1, n_max}):
+        pruned = smooth_density(spectrum, n)
         assert pruned.tobytes() == full_plane_smooth(raster, n).tobytes()
     full = spectrum.columns(raster.grid.n_mesh // 2 + 1)
     assert full.tobytes() == np.fft.rfft2(raster.values).tobytes()
@@ -399,13 +400,13 @@ def test_capped_search_grows_to_the_full_half_plane(monkeypatch):
 def test_keep_frees_columns_past_the_support():
     raster = _sparse_raster(1024, 3, 0.001)
     spectrum = PrunedSpectrum(raster)
-    n_k, _ = find_optimal_iteration(spectrum, 0.01, 128)
+    n_k = find_optimal_iteration(spectrum, 0.01, 128).n_k
     assert spectrum.width == _support(_transfer_axis(raster.grid, n_k + 1))
     spectrum.keep(n_k)
     width = _support(_transfer_axis(raster.grid, n_k))
     assert spectrum.width == width
     assert spectrum.columns(width).flags.c_contiguous
     expected = full_plane_smooth(raster, n_k)
-    assert smooth_density(spectrum, n_k).values.tobytes() == expected.tobytes()
+    assert smooth_density(spectrum, n_k).tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match=f"keeps {width} columns"):
         smooth_density(spectrum, n_k + 1)

@@ -7,7 +7,7 @@ import fcdm.trainer
 from fcdm.dataset import Dataset, generate_spirals, split
 from fcdm.grid import DensityField, GridSpec
 from fcdm.model_io import model_to_bytes
-from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis, _transfer_function
+from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis
 from fcdm.trainer import (
     ClassifierModel,
     ConvergenceTrace,
@@ -47,6 +47,20 @@ def test_config_validation():
         TrainConfig(n_mesh=4)
     with pytest.raises(ValueError):
         TrainConfig(n_mesh=16)  # default n_max would be 2
+
+
+def test_config_accepts_numpy_integers():
+    config = TrainConfig(n_mesh=np.int64(512), n_max=np.int32(8))
+    assert (config.n_mesh, config.n_max) == (512, 8)
+    assert type(config.n_mesh) is int and type(config.n_max) is int
+    assert type(TrainConfig(n_mesh=np.int64(64)).n_max) is int
+    with pytest.raises(ValueError, match="power of two"):
+        TrainConfig(n_mesh=np.float64(512))
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        TrainConfig(n_mesh=64, n_max=np.float64(8))
+    data = generate_spirals(2, 30, [0.01, 0.01], 1.5, 3)
+    as_numpy = train(data, TrainConfig(n_mesh=np.int64(32), n_max=np.int64(6)))
+    assert model_to_bytes(as_numpy) == model_to_bytes(train(data, TrainConfig(32, n_max=6)))
 
 
 # ---------------------------------------------------------------- pearson
@@ -159,6 +173,23 @@ def test_stopping_rule_reads_no_further_than_n_max():
     assert next(it) == curve[5]
 
 
+@given(
+    curve=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=12),
+    epsilon=st.sampled_from([1e-3, 1e-2, 1e-1]),
+)
+def test_second_derivatives_reproduce_the_rule_decision(curve, epsilon):
+    # the trace stores c(n) only; the d2 values it derives are the ones
+    # stopping_rule tested, bit for bit: the last is below epsilon exactly
+    # when the rule converged, and every earlier one is not
+    trace = stopping_rule(iter(curve), epsilon, 12)
+    d2 = trace.second_derivatives
+    assert len(d2) == max(len(trace.correlations) - 2, 0)
+    assert all(abs(d) >= epsilon for d in d2[:-1])
+    assert trace.converged == (bool(d2) and abs(d2[-1]) < epsilon)
+    if trace.converged:
+        assert trace.n_k == len(trace.correlations)
+
+
 def test_threshold_never_met_returns_cap_with_flag():
     data = generate_spirals(2, 40, [0.01, 0.01], 1.5, 3)
     from fcdm.dataset import fit_scaler, normalize_dataset
@@ -167,8 +198,8 @@ def test_threshold_never_met_returns_cap_with_flag():
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(32)
     raster = rasterize_signed(normalized, "c0", grid)
-    n_k, trace = find_optimal_iteration(PrunedSpectrum(raster), 1e-12, 6)
-    assert n_k == trace.n_k == 6
+    trace = find_optimal_iteration(PrunedSpectrum(raster), 1e-12, 6)
+    assert trace.n_k == 6
     assert not trace.converged
     # searched every center 3..5: c(2)..c(6) plus three second differences
     assert len(trace.correlations) == 5
@@ -193,27 +224,29 @@ def test_trace_index_helpers():
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(64)
     raster = rasterize_signed(normalized, "c1", grid)
-    n_k, trace = find_optimal_iteration(PrunedSpectrum(raster), 0.01, 8)
-    assert n_k == trace.n_k
-    assert trace.second_derivative_at(3) == trace.second_derivatives[0]
+    trace = find_optimal_iteration(PrunedSpectrum(raster), 0.01, 8)
+    n_k = trace.n_k
     if trace.converged:
         assert 3 <= n_k <= 8
-        assert abs(trace.second_derivative_at(n_k)) < 0.01
+        assert abs(trace.second_derivatives[n_k - 3]) < 0.01
         # converged at the first qualifying center: earlier ones stay above
         for earlier in range(3, n_k):
-            assert abs(trace.second_derivative_at(earlier)) >= 0.01
+            assert abs(trace.second_derivatives[earlier - 3]) >= 0.01
 
 
 def _spatial_search(raster, epsilon, n_max):
     """The search as it ran before the spectral route: smooth every step
     and correlate consecutive fields in the pixel domain. Kept as the
     reference the spectral search must reproduce."""
-    prev = smooth(raster, 1)
-    cur = smooth(raster, 2)
+    def smoothed(n):
+        return DensityField(grid=raster.grid, values=smooth(raster, n))
+
+    prev = smoothed(1)
+    cur = smoothed(2)
     corr = [pearson_correlation(cur, prev)]
     d2s = []
     for n in range(3, n_max + 1):
-        prev, cur = cur, smooth(raster, n)
+        prev, cur = cur, smoothed(n)
         corr.append(pearson_correlation(cur, prev))
         if len(corr) < 3:
             continue
@@ -240,8 +273,8 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
     raster = DensityField(grid=grid, values=np.where(occupied, signs, 0.0))
     n_max = max(4, mesh // 8)
     n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, epsilon, n_max)
-    n_k, trace = find_optimal_iteration(PrunedSpectrum(raster), epsilon, n_max)
-    assert n_k == n_ref
+    trace = find_optimal_iteration(PrunedSpectrum(raster), epsilon, n_max)
+    assert trace.n_k == n_ref
     assert trace.converged == conv_ref
     assert len(trace.correlations) == len(corr_ref)
     assert len(trace.second_derivatives) == len(d2_ref)
@@ -408,7 +441,7 @@ def test_far_apart_two_point_classes():
     direct_b = smooth_density_direct(
         [((0, 0), -1.0), ((31, 31), 1.0)], model.n_final, grid
     )
-    brute = build_probabilities(np.stack([direct_a.values, direct_b.values]))
+    brute = build_probabilities(np.stack([direct_a, direct_b]))
     assert brute[0, 0, 0] > 0.5
     assert brute[1, 31, 31] > 0.5
     # the spectral route applies the exact DFT of the sampled periodic
@@ -454,11 +487,22 @@ def test_train_transforms_each_class_once(monkeypatch, k):
     }
 
 
-def test_train_builds_the_final_transfer_function_once(cold_transfer_caches):
-    data = generate_spirals(3, 80, [0.01] * 3, 1.75, 4)
-    train(data, TrainConfig(n_mesh=256))
-    info = _transfer_function.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_smoothed_field_fails_the_model_check(monkeypatch, bad):
+    # smoothed fields are plain arrays with no finiteness scan of their
+    # own; a non-finite value still stops training at the range test
+    # (inf / inf in the normalization warns first; that warning is expected)
+    smooth_density = fcdm.trainer.smooth_density
+
+    def poisoned(spectrum, n_iter):
+        values = smooth_density(spectrum, n_iter)
+        values[3, 5] = bad
+        return values
+
+    monkeypatch.setattr(fcdm.trainer, "smooth_density", poisoned)
+    data = generate_spirals(2, 30, [0.01, 0.01], 1.5, 3)
+    with pytest.raises(ValueError, match="leave"), np.errstate(invalid="ignore"):
+        train(data, TrainConfig(n_mesh=32))
 
 
 def test_train_is_deterministic():
@@ -490,7 +534,7 @@ def test_model_invariants_enforced():
     good = np.full((2, 8, 8), 0.5)
 
     def stop(n_k):
-        return ConvergenceTrace([], [], n_k=n_k, converged=True)
+        return ConvergenceTrace([], n_k=n_k, converged=True)
 
     with pytest.raises(ValueError, match="n_final"):
         ClassifierModel(
