@@ -5,9 +5,12 @@ import csv
 import json
 import math
 import sys
+from array import array
+
+import numpy as np
 
 from . import dataset as ds
-from .inference import evaluate, predict
+from .inference import evaluate, predict_batch
 from .model_io import load_model, save_model
 from .render import decision_ppm, probability_pgm
 from .trainer import TrainConfig, train
@@ -96,15 +99,11 @@ def _cmd_train(args):
     for label, trace in zip(model.labels, model.traces):
         status = "converged" if trace.converged else f"capped at n_max={config.n_max}"
         print(f"class {label}: n_k={trace.n_k} ({status})")
-        first_n = 2
-        corr = ", ".join(
-            f"c({first_n + t})={c:.6f}" for t, c in enumerate(trace.correlations)
-        )
+        corr = ", ".join(f"c({n})={c:.6f}" for n, c in enumerate(trace.correlations, 2))
         print(f"  {corr}")
         if trace.second_derivatives:
-            d2 = ", ".join(
-                f"d2({3 + t})={d:.3e}" for t, d in enumerate(trace.second_derivatives)
-            )
+            d2 = ", ".join(f"d2({n})={d:.3e}"
+                           for n, d in enumerate(trace.second_derivatives, 3))
             print(f"  {d2}")
     print(f"n_final={model.n_final}")
     save_model(model, args.out)
@@ -117,24 +116,24 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    rows = []
-    # infinite coordinates are fine: predict clamps them to the boundary pixel
+    coords = array("d")  # x1, x2 pairs, all read before any output is opened
     for line_no, x1, x2, _ in ds._csv_rows(args.input, args.header, (2, 3)):
         if math.isnan(x1) or math.isnan(x2):
             raise ValueError(f"{args.input}: line {line_no}: NaN coordinate")
-        pred = predict(model, (x1, x2))
-        rows.append(
-            [repr(x1), repr(x2), pred.label] + [repr(p) for p in pred.probabilities]
-        )
-    if not rows:
+        coords.extend((x1, x2))
+    if not coords:
         raise ValueError(f"{args.input}: no points found")
+    codes, probs = predict_batch(model, np.frombuffer(coords).reshape(-1, 2))
+    # infinite points read the boundary pixel; rows stream out, none is kept
+    pairs = iter(coords)
+    rows = ([repr(x1), repr(x2), model.labels[c]] + [repr(p) for p in ps]
+            for x1, x2, c, ps in zip(pairs, pairs, codes.tolist(), probs.tolist()))
     if args.out == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(rows)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-        print(f"wrote {args.out}: {len(rows)} predictions")
+        print(f"wrote {args.out}: {len(codes)} predictions")
     return 0
 
 

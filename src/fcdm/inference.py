@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import apply_scaler
-from .grid import map_to_pixel
+from .grid import _pixel_rows_cols, map_to_pixel
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,30 @@ def predict(model, point):
 
     The point is scaled with the model's scaler and located on the grid,
     where map_to_pixel clamps far-out points to the boundary pixel and
-    rejects NaN coordinates with ValueError. The class with the largest
-    probability at that pixel wins; ties go to the lowest class index.
+    rejects NaN with ValueError. The largest probability there wins, ties
+    to the lowest class index: the same pixel rule as predict_batch.
     """
     scaled = apply_scaler(np.array([[float(point[0]), float(point[1])]]), model.scaler)
     i, j = map_to_pixel(scaled[0], model.grid)
     probs = model.probabilities[:, i, j].tolist()
     best = probs.index(max(probs))
     return Prediction(label=model.labels[best], probabilities=tuple(probs), pixel=(i, j))
+
+
+def predict_batch(model, coords):
+    """Classify an (n, 2) array of raw points in one vector lookup.
+
+    The same pixel rule as predict: scale, clip to the unit square (so x * n
+    cannot overflow), floor; the first maximum wins. Returns the codes (n,)
+    into model.labels and the probabilities (n, K), bit-equal to predict's.
+    NaN raises ValueError.
+    """
+    scaled = apply_scaler(coords, model.scaler)
+    if np.isnan(scaled).any():
+        raise ValueError("cannot map NaN coordinates to a pixel")
+    i, j = _pixel_rows_cols(np.clip(scaled, 0.0, 1.0), model.grid)
+    probs = model.probabilities[:, i, j]
+    return probs.argmax(axis=0), probs.T
 
 
 def evaluate(model, data):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcdm.dataset import Dataset, FeatureScaler, apply_scaler
 from fcdm.grid import GridSpec, _pixel_rows_cols
-from fcdm.inference import evaluate, predict
+from fcdm.inference import evaluate, predict, predict_batch
 from fcdm.trainer import ClassifierModel
 
 
@@ -186,7 +186,9 @@ _FAR = st.sampled_from([math.inf, -math.inf, 1e308, -1e308])
 @given(st.data())
 def test_predict_pixel_and_label_match_the_vector_rule(data):
     # the scalar lookup agrees with _pixel_rows_cols on the clamped scaled
-    # point, and the label is the first maximum of the pixel's column
+    # point, and the label is the first maximum of the pixel's column;
+    # predict_batch over the same points gives that label's index and
+    # that column, bit for bit
     model = data.draw(st.sampled_from(_TIE_MODELS))
     s = model.scaler
 
@@ -195,13 +197,36 @@ def test_predict_pixel_and_label_match_the_vector_rule(data):
             _UNIT.map(lambda u: lo + u * (hi - lo)), _FAR, st.floats(allow_nan=False)
         )
 
-    point = (data.draw(coordinate(s.min1, s.max1)), data.draw(coordinate(s.min2, s.max2)))
-    pred = predict(model, point)
-    i, j = _pixel_rows_cols(np.clip(apply_scaler([point], s), 0.0, 1.0), model.grid)
-    assert pred.pixel == (int(i[0]), int(j[0]))
-    column = model.probabilities[:, i[0], j[0]]
-    assert pred.probabilities == tuple(column.tolist())
-    assert pred.label == model.labels[int(np.argmax(column))]
+    points = data.draw(st.lists(
+        st.tuples(coordinate(s.min1, s.max1), coordinate(s.min2, s.max2)),
+        min_size=1, max_size=6,
+    ))
+    codes, probs = predict_batch(model, np.array(points))
+    assert codes.shape == (len(points),)
+    assert probs.shape == (len(points), 3)
+    for point, code, row in zip(points, codes.tolist(), probs):
+        pred = predict(model, point)
+        i, j = _pixel_rows_cols(np.clip(apply_scaler([point], s), 0.0, 1.0), model.grid)
+        assert pred.pixel == (int(i[0]), int(j[0]))
+        column = model.probabilities[:, i[0], j[0]]
+        assert pred.probabilities == tuple(column.tolist())
+        assert pred.label == model.labels[int(np.argmax(column))]
+        assert model.labels[code] == pred.label
+        assert row.tobytes() == np.array(pred.probabilities).tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 0), (2, 1)])
+def test_predict_batch_rejects_nan_anywhere(where):
+    points = np.array([[0.2, 0.3], [0.5, 0.5], [0.9, -1.0]])
+    points[where] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        predict_batch(_TIE_MODELS[1], points)
+
+
+def test_predict_batch_of_no_points_is_empty():
+    codes, probs = predict_batch(_TIE_MODELS[0], np.empty((0, 2)))
+    assert codes.shape == (0,)
+    assert probs.shape == (0, 3)
 
 
 def test_tie_model_has_ties_and_edges_land_on_the_upper_pixel():
