@@ -123,11 +123,12 @@ def _cmd_predict(args):
         coords.extend((x1, x2))
     if not coords:
         raise ValueError(f"{args.input}: no points found")
-    codes, probs = predict_batch(model, np.frombuffer(coords).reshape(-1, 2))
-    # infinite points read the boundary pixel; rows stream out, none is kept
-    pairs = iter(coords)
+    xy = np.frombuffer(coords).reshape(-1, 2)
+    codes, probs = predict_batch(model, xy)
+    # infinite points read the boundary pixel; rows stream out, made 4096 at a time
     rows = ([repr(x1), repr(x2), model.labels[c]] + [repr(p) for p in ps]
-            for x1, x2, c, ps in zip(pairs, pairs, codes.tolist(), probs.tolist()))
+            for s in range(0, len(xy), 4096)
+            for (x1, x2), c, ps in zip(*(a[s:s + 4096].tolist() for a in (xy, codes, probs))))
     if args.out == "-":
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:

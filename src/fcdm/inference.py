@@ -47,13 +47,16 @@ class EvalReport:
 def predict(model, point):
     """Classify one raw-coordinate point.
 
-    The point is scaled with the model's scaler and located on the grid,
-    where map_to_pixel clamps far-out points to the boundary pixel and
-    rejects NaN with ValueError. The largest probability there wins, ties
-    to the lowest class index: the same pixel rule as predict_batch.
+    The point is clamped into the scaler's fitted box (far-out points read
+    the boundary pixel all the same, and scaling cannot overflow), scaled
+    and located on the grid; NaN raises ValueError. The largest probability
+    there wins, ties to the lowest class index: predict_batch's pixel rule.
     """
-    scaled = apply_scaler(np.array([[float(point[0]), float(point[1])]]), model.scaler)
-    i, j = map_to_pixel(scaled[0], model.grid)
+    s = model.scaler
+    x1, x2 = float(point[0]), float(point[1])  # NaN fails both tests and stays
+    x1 = s.min1 if x1 < s.min1 else s.max1 if x1 > s.max1 else x1
+    x2 = s.min2 if x2 < s.min2 else s.max2 if x2 > s.max2 else x2
+    i, j = map_to_pixel(apply_scaler(np.array([[x1, x2]]), s)[0], model.grid)
     probs = model.probabilities[:, i, j].tolist()
     best = probs.index(max(probs))
     return Prediction(label=model.labels[best], probabilities=tuple(probs), pixel=(i, j))
@@ -62,12 +65,13 @@ def predict(model, point):
 def predict_batch(model, coords):
     """Classify an (n, 2) array of raw points in one vector lookup.
 
-    The same pixel rule as predict: scale, clip to the unit square (so x * n
-    cannot overflow), floor; the first maximum wins. Returns the codes (n,)
-    into model.labels and the probabilities (n, K), bit-equal to predict's.
-    NaN raises ValueError.
+    The same pixel rule as predict: scale (far-out points overflow to +/-inf
+    quietly), clip to the unit square (so x * n cannot overflow), floor; the
+    first maximum wins. Returns the codes (n,) into model.labels and the
+    probabilities (n, K), bit-equal to predict's. NaN raises ValueError.
     """
-    scaled = apply_scaler(coords, model.scaler)
+    with np.errstate(over="ignore"):
+        scaled = apply_scaler(coords, model.scaler)
     if np.isnan(scaled).any():
         raise ValueError("cannot map NaN coordinates to a pixel")
     i, j = _pixel_rows_cols(np.clip(scaled, 0.0, 1.0), model.grid)

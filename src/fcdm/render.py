@@ -7,6 +7,8 @@ import colorsys
 
 import numpy as np
 
+from .spectral import row_tiles
+
 
 def class_palette(n_classes):
     """One fully saturated RGB color per class, hue k / n_classes."""
@@ -34,13 +36,14 @@ def decision_ppm(model):
 
     Ties resolve to the lowest class index, matching point prediction.
     """
-    best = model.probabilities[0].copy()
-    winners = np.zeros(best.shape, dtype=np.intp)
-    for k, p in enumerate(model.probabilities[1:], start=1):
-        winners[p > best] = k
-        np.maximum(best, p, out=best)
-    palette = np.array(class_palette(len(model.labels)), dtype=np.uint8)
-    rgb = np.take(palette, winners, axis=0)
     n = model.grid.n_mesh
-    header = f"P6\n{n} {n}\n255\n".encode("ascii")
-    return b"".join([header, memoryview(rgb).cast("B")])
+    palette = np.array(class_palette(len(model.labels)), dtype=np.uint8)
+    rgb = np.empty((n, n, 3), dtype=np.uint8)
+    for rows in row_tiles(model.probabilities):
+        best = model.probabilities[0, rows].copy()
+        winners = np.zeros(best.shape, dtype=np.intp)
+        for k, p in enumerate(model.probabilities[1:, rows], start=1):
+            winners[p > best] = k
+            np.maximum(best, p, out=best)
+        np.take(palette, winners, axis=0, out=rgb[rows])
+    return b"".join([f"P6\n{n} {n}\n255\n".encode("ascii"), memoryview(rgb).cast("B")])

@@ -21,6 +21,14 @@ import itertools
 
 import numpy as np
 
+_TILE_BYTES = 1 << 20  # one row tile of a pass over a probability stack; a few fit in L2
+
+
+def row_tiles(stack):
+    """Row slices (axis -2) of an array, _TILE_BYTES of rows each; the last may be short."""
+    step = max(1, _TILE_BYTES * stack.shape[-2] // stack.nbytes)
+    return [slice(i, i + step) for i in range(0, stack.shape[-2], step)]
+
 
 def _aliased_gaussian(grid, sigma_tilde):
     """Sum over m of exp(-(f + m N / L)^2 / (2 sigma_tilde^2)) at the wrapped frequencies f.
@@ -106,7 +114,7 @@ class PrunedSpectrum:
         self.width = m
 
 
-def smooth_density(spectrum, n_iter):
+def smooth_density(spectrum, n_iter, out=None):
     """Low-pass a field, given as its PrunedSpectrum, at bandwidth sigma_tilde = n_iter / L.
 
     Equivalent to circular convolution with the spatial Gaussian kernel
@@ -118,13 +126,17 @@ def smooth_density(spectrum, n_iter):
     built as the outer product of one aliased sum per axis divided by
     2 pi sigma_tilde^2. irfft returns a real field whatever its input,
     which is the true inverse only for a transfer function even in f: the
-    exact evenness check on the per-axis sum guards that. Returns an (N, N) array.
+    exact evenness check on the per-axis sum guards that. The row irfft
+    fills out, an (N, N) array (new when None), a row tile at a time; returns out.
     """
     grid = spectrum.grid
     m = _support(_transfer_axis(grid, n_iter))
     # the transfer function is built per call and freed before the inverse transforms
     filtered = np.fft.ifft(spectrum.columns(m) * _transfer_function(grid, n_iter), axis=0)
-    return np.fft.irfft(filtered, n=grid.n_mesh, axis=1)
+    out = np.empty((grid.n_mesh,) * 2) if out is None else out
+    for rows in row_tiles(out):
+        out[rows] = np.fft.irfft(filtered[rows], n=grid.n_mesh, axis=1)
+    return out
 
 
 def consecutive_correlations(spectrum):

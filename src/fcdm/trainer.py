@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import FeatureScaler, fit_scaler, normalize_dataset
 from .grid import GridSpec, rasterize_signed
-from .spectral import PrunedSpectrum, consecutive_correlations, smooth_density
+from .spectral import PrunedSpectrum, consecutive_correlations, row_tiles, smooth_density
 
 # below this total shifted density a pixel carries no information and
 # falls back to the uniform distribution
@@ -91,12 +91,13 @@ class ClassifierModel:
             raise ValueError(f"n_final must be a positive integer, got {self.n_final!r}")
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        # no copy; NaN fails every test, and the range goes first so the total is finite
-        if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
-            raise ValueError("probability fields leave [0, 1]")
-        deviation = probs.sum(axis=0)
-        deviation -= 1.0
-        if not (np.abs(deviation, out=deviation).max() <= 1e-9):
+        worst = 0.0  # per row tile, no copy; NaN fails the range test, which wins
+        for tile in (probs[:, rows] for rows in row_tiles(probs)):
+            if not (tile.min() >= -1e-12 and tile.max() <= 1.0 + 1e-12):
+                raise ValueError("probability fields leave [0, 1]")
+            total = tile.sum(axis=0)  # finite: the range passed
+            worst = max(worst, total.max() - 1.0, 1.0 - total.min())  # max |total - 1|
+        if not (worst <= 1e-9):
             raise ValueError("probability fields do not sum to 1 per pixel")
         if self.traces is not None:
             if len(self.traces) != k:
@@ -177,17 +178,19 @@ def build_probabilities(probs):
     Shifts all fields by the single global minimum (so the smallest value
     becomes 0) and divides by the per-pixel sum across classes. Pixels
     where that sum is below 1e-12 carry no evidence and get the uniform
-    1/K instead. The output, the same array, sums to 1 at every pixel
-    with each entry in [0, 1].
+    1/K instead. All but the minimum runs a row tile at a time. The output,
+    the same array, sums to 1 at every pixel with each entry in [0, 1].
     """
     if probs.ndim != 3 or len(probs) < 2 or probs.shape[1] != probs.shape[2]:
         raise ValueError(f"need at least 2 square class fields, got shape {probs.shape}")
-    probs -= probs.min()
-    total = probs.sum(axis=0)
-    degenerate = total < _DEGENERATE_EPS
-    total[degenerate] = 1.0
-    probs /= total
-    probs[:, degenerate] = 1.0 / len(probs)
+    low = probs.min()
+    for tile in (probs[:, rows] for rows in row_tiles(probs)):
+        tile -= low
+        total = tile.sum(axis=0)
+        degenerate = total < _DEGENERATE_EPS
+        total[degenerate] = 1.0
+        tile /= total
+        tile[:, degenerate] = 1.0 / len(probs)
     return probs
 
 
@@ -216,8 +219,7 @@ def train(data, config=None):
         s.keep(n_final)
     probs = np.empty((len(spectra), grid.n_mesh, grid.n_mesh))
     for k, s in enumerate(spectra):
-        probs[k] = smooth_density(s, n_final)
-    del spectra
+        smooth_density(s, n_final, probs[k])
     build_probabilities(probs)
     return ClassifierModel(
         labels=data.labels,

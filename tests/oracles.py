@@ -4,13 +4,17 @@ smooth_density_direct sums the spatial kernel point by point; the
 library smooths on the spectrum instead. full_plane_smooth and
 full_plane_correlations are the spectral route on the whole rfft2 half
 plane, with the 2-D rfft2 / irfft2 pair and no pruning: the pruned
-transforms must reproduce them bit for bit.
+transforms must reproduce them bit for bit. build_probabilities_whole,
+check_probabilities_whole and decision_ppm_whole are the passes over the
+probability stack as whole-array operations, with no row tiles: the
+tiled passes must reproduce them byte for byte.
 """
 
 import itertools
 
 import numpy as np
 
+from fcdm.render import class_palette
 from fcdm.spectral import PrunedSpectrum, _transfer_axis, smooth_density
 
 
@@ -91,3 +95,38 @@ def smooth_density_direct(impulses, n_iter, grid):
                 acc += np.exp(-coef * (d1 * d1 + d2 * d2))
         out += float(sign) * acc
     return dx * dx * out
+
+
+def build_probabilities_whole(probs):
+    """build_probabilities in whole-stack steps: shift, sum, fall back, divide."""
+    probs -= probs.min()
+    total = probs.sum(axis=0)
+    degenerate = total < 1e-12
+    total[degenerate] = 1.0
+    probs /= total
+    probs[:, degenerate] = 1.0 / len(probs)
+    return probs
+
+
+def check_probabilities_whole(probs):
+    """ClassifierModel's probability checks over the whole stack; the message, or None."""
+    if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
+        return "probability fields leave [0, 1]"
+    deviation = probs.sum(axis=0)
+    deviation -= 1.0
+    if not (np.abs(deviation, out=deviation).max() <= 1e-9):
+        return "probability fields do not sum to 1 per pixel"
+    return None
+
+
+def decision_ppm_whole(model):
+    """decision_ppm with whole-plane winners and one palette lookup."""
+    best = model.probabilities[0].copy()
+    winners = np.zeros(best.shape, dtype=np.intp)
+    for k, p in enumerate(model.probabilities[1:], start=1):
+        winners[p > best] = k
+        np.maximum(best, p, out=best)
+    palette = np.array(class_palette(len(model.labels)), dtype=np.uint8)
+    rgb = np.take(palette, winners, axis=0)
+    n = model.grid.n_mesh
+    return f"P6\n{n} {n}\n255\n".encode("ascii") + rgb.tobytes()

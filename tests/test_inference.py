@@ -215,6 +215,32 @@ def test_predict_pixel_and_label_match_the_vector_rule(data):
         assert row.tobytes() == np.array(pred.probabilities).tobytes()
 
 
+@pytest.mark.parametrize("point, pixel", [
+    ((1e308, 0.1), (12, 63)),
+    ((-1e308, 0.1), (12, 0)),
+    ((0.1, 1e308), (63, 12)),
+    ((0.1, -1.7e308), (0, 12)),
+])
+def test_far_out_points_read_the_boundary_pixel_without_a_warning(point, pixel):
+    # a fitted range below 1 scales these finite points past float64's
+    # range, and a RuntimeWarning fails this suite
+    weights = np.random.default_rng(3).uniform(size=(3, 64, 64))
+    model = ClassifierModel(
+        labels=("a", "b", "c"), grid=GridSpec(64),
+        scaler=FeatureScaler(0.05, 0.3, 0.05, 0.3), n_final=3, epsilon=0.01,
+        probabilities=weights / weights.sum(axis=0),
+    )
+    column = model.probabilities[:, pixel[0], pixel[1]]
+    pred = predict(model, point)
+    assert pred.pixel == pixel
+    assert pred.label == model.labels[int(np.argmax(column))]
+    codes, probs = predict_batch(model, np.array([point]))
+    assert model.labels[codes[0]] == pred.label
+    assert probs[0].tobytes() == column.tobytes()
+    with np.errstate(over="ignore"):
+        assert np.isinf(apply_scaler([point], model.scaler)).sum() == 1
+
+
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 0), (2, 1)])
 def test_predict_batch_rejects_nan_anywhere(where):
     points = np.array([[0.2, 0.3], [0.5, 0.5], [0.9, -1.0]])

@@ -18,6 +18,7 @@ from fcdm.model_io import (
     model_to_bytes,
     save_model,
 )
+from fcdm.render import decision_ppm
 from fcdm.trainer import ClassifierModel, TrainConfig, train
 
 
@@ -293,6 +294,27 @@ def test_loading_copies_no_payload():
     assert peak < 0.5 * payload
 
 
+def test_loading_a_mesh_1024_model_checks_it_in_row_tiles():
+    # the load-time checks run a row tile at a time: 0.030 payloads
+    # measured (numpy 2.4), 0.336 when they ran over the whole stack. The
+    # bound leaves two thirds of margin.
+    raw = model_to_bytes(_random_model(3, 1024, seed=4))
+    payload = 3 * 1024 * 1024 * 8
+    model, peak = _traced_peak(lambda: model_from_bytes(raw))
+    assert model.probabilities.shape == (3, 1024, 1024)
+    assert peak < 0.05 * payload
+
+
+def test_decision_map_at_mesh_1024_allocates_little_beyond_the_image():
+    # the image buffer and the returned bytes are 0.125 payloads each:
+    # 0.261 payloads measured (numpy 2.4), 0.917 with whole-plane winners.
+    # The bound leaves about a seventh of margin.
+    model = _random_model(3, 1024, seed=4)
+    image, peak = _traced_peak(lambda: decision_ppm(model))
+    assert len(image) > 3 * 1024 * 1024
+    assert peak < 0.3 * model.probabilities.nbytes
+
+
 def test_saving_allocates_only_the_result():
     model = _random_model(4, 128, seed=1)
     raw, peak = _traced_peak(lambda: model_to_bytes(model))
@@ -309,10 +331,11 @@ def test_training_peak_stays_below_three_and_a_half_payloads(cold_transfer_cache
 
 
 def test_training_peak_at_mesh_1024(cold_transfer_caches):
-    # measured at 1.84 payloads (46.3 MB) with numpy 2.4, and at 2.51
-    # when the irfft input is padded to N complex columns as numpy < 2
-    # pads it; the peak is in the final smoothing. The full-plane
-    # rfft2 / irfft2 route peaked at 3.17 (3.50 with that padding).
+    # measured at 1.63 payloads (41.1 MB) with numpy 2.4, also when the
+    # irfft input is padded to N complex columns as numpy < 2 pads it,
+    # since the final smoothing runs its irfft a row tile at a time. The
+    # whole-plane irfft peaked at 1.84 (2.51 with that padding), and the
+    # full-plane rfft2 / irfft2 route at 3.17 (3.50 with that padding).
     data = generate_spirals(3, 100, [0.01, 0.015, 0.02], 1.75, 5)
     model, peak = _traced_peak(lambda: train(data, TrainConfig(n_mesh=1024)))
     payload = model.probabilities.nbytes
@@ -325,7 +348,9 @@ def test_training_peak_with_numpy_1_irfft_padding(monkeypatch, cold_transfer_cac
                                                   n_mesh, bound):
     # numpy < 2 pads irfft's half-plane input to N complex columns before
     # transforming; doing the same here puts that peak under the two
-    # guards above on every numpy version
+    # guards above on every numpy version. Measured with numpy 2.4: 3.36
+    # payloads at mesh 256 and 1.63 at mesh 1024, where the padding now
+    # covers one row tile (2.51 when it covered the whole plane).
     irfft = fcdm.spectral.np.fft.irfft
 
     def padded(a, n, axis):

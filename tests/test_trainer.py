@@ -7,7 +7,7 @@ import fcdm.trainer
 from fcdm.dataset import Dataset, generate_spirals, split
 from fcdm.grid import DensityField, GridSpec
 from fcdm.model_io import model_to_bytes
-from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis
+from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis, row_tiles
 from fcdm.trainer import (
     ClassifierModel,
     ConvergenceTrace,
@@ -458,8 +458,8 @@ def _growth_steps(grid, n_reads):
 @pytest.mark.parametrize("k", [2, 3])
 def test_train_transforms_each_class_once(monkeypatch, k):
     # per class one row rfft and, at the end, one column ifft and one row
-    # irfft; the column fft runs once per widening of the filter's
-    # support, on the new columns only; no 2-D transform at all
+    # irfft per row tile; the column fft runs once per widening of the
+    # filter's support, on the new columns only; no 2-D transform at all
     names = ["rfft", "fft", "ifft", "irfft", "rfft2", "irfft2", "fft2", "ifft2"]
     calls = dict.fromkeys(names, 0)
     fft = fcdm.spectral.np.fft
@@ -481,8 +481,10 @@ def test_train_transforms_each_class_once(monkeypatch, k):
         _growth_steps(grid, [*range(1, t.n_k + 2), model.n_final]) for t in model.traces
     )
     assert growth > k  # at mesh 512 the support widens step by step
+    tiles = len(row_tiles(model.probabilities[0]))
+    assert tiles > 1
     assert calls == {
-        "rfft": k, "fft": growth, "ifft": k, "irfft": k,
+        "rfft": k, "fft": growth, "ifft": k, "irfft": k * tiles,
         "rfft2": 0, "irfft2": 0, "fft2": 0, "ifft2": 0,
     }
 
@@ -494,10 +496,10 @@ def test_non_finite_smoothed_field_fails_the_model_check(monkeypatch, bad):
     # (inf / inf in the normalization warns first; that warning is expected)
     smooth_density = fcdm.trainer.smooth_density
 
-    def poisoned(spectrum, n_iter):
-        values = smooth_density(spectrum, n_iter)
-        values[3, 5] = bad
-        return values
+    def poisoned(spectrum, n_iter, out):
+        smooth_density(spectrum, n_iter, out)
+        out[3, 5] = bad
+        return out
 
     monkeypatch.setattr(fcdm.trainer, "smooth_density", poisoned)
     data = generate_spirals(2, 30, [0.01, 0.01], 1.5, 3)
