@@ -141,12 +141,10 @@ def _cmd_predict(args):
 def _cmd_evaluate(args):
     model = load_model(args.model)
     data = ds.load_csv(args.input, has_header=args.header)
-    unknown = sorted(set(data.labels) - set(model.labels))
-    if unknown:
-        raise UsageError(
-            f"dataset labels not in model vocabulary: {', '.join(map(repr, unknown))}"
-        )
-    report = evaluate(model, data)
+    try:
+        report = evaluate(model, data)
+    except ValueError as exc:  # the vocabulary rule lives in evaluate
+        raise UsageError(str(exc)) from None
     width = max(6, max(len(lab) for lab in report.labels) + 1)
     header = " " * width + "".join(f"{lab:>{width}}" for lab in report.labels)
     print("confusion (rows true, cols predicted):")

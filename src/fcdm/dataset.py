@@ -104,10 +104,10 @@ def fit_scaler(data):
 
 
 def apply_scaler(points, scaler):
-    """Map raw coordinate pairs through the scaler. Returns an (n, 2) array.
+    """The scaler's raw affine map of coordinate pairs. Returns an (n, 2) array.
 
-    Points inside the fitted bounding box land in [0, 1]^2; outside points
-    fall outside that range (callers decide whether to clamp).
+    Points inside the fitted box land in [0, 1]^2, points outside it
+    outside that range; predict and predict_batch clamp into the box first.
     """
     xy = np.asarray(points, dtype=np.float64)
     if xy.ndim != 2 or xy.shape[1] != 2:

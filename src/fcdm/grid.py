@@ -1,6 +1,5 @@
 """Equidistant unit-square mesh and signed one-vs-rest rasterization."""
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -49,30 +48,19 @@ class DensityField:
             raise ValueError("field contains non-finite values")
 
 
-def map_to_pixel(point, grid):
-    """The (i, j) pixel containing a point; out-of-range points clamp to the edge.
+def _pixel_rows_cols(xy, grid):
+    """The pixel rule: rows i (from x2) and columns j (from x1) of (n, 2) unit-scale points.
 
-    The first coordinate (x1) selects the column j, the second (x2) the
-    row i: index = clamp(floor(x / dx), 0, n_mesh - 1). NaN coordinates
-    raise ValueError.
+    index = min(floor(clip(x, 0, L) * n / L), n - 1): points off the unit square,
+    infinite ones too, read the edge pixel, and x * n cannot overflow. NaN raises ValueError.
     """
-    x1, x2 = float(point[0]), float(point[1])
-    if math.isnan(x1) or math.isnan(x2):
+    if np.isnan(xy).any():
         raise ValueError("cannot map NaN coordinates to a pixel")
     n = grid.n_mesh
-    # clamp before floor so even infinite coordinates stay on the grid
-    j = int(math.floor(min(max(x1 * n / grid.domain_width, 0.0), n - 1.0)))
-    i = int(math.floor(min(max(x2 * n / grid.domain_width, 0.0), n - 1.0)))
-    return i, j
-
-
-def _pixel_rows_cols(xy, grid):
-    """Vectorized map_to_pixel for an (n, 2) coordinate array."""
-    n = grid.n_mesh
-    scale = n / grid.domain_width
-    j = np.clip(np.floor(xy[:, 0] * scale), 0, n - 1).astype(np.intp)
-    i = np.clip(np.floor(xy[:, 1] * scale), 0, n - 1).astype(np.intp)
-    return i, j
+    u = np.clip(xy, 0.0, grid.domain_width)
+    u *= n / grid.domain_width
+    np.minimum(np.floor(u, out=u), n - 1, out=u)
+    return u[:, 1].astype(np.intp), u[:, 0].astype(np.intp)
 
 
 def rasterize_signed(data, target_class, grid):
@@ -80,8 +68,8 @@ def rasterize_signed(data, target_class, grid):
 
     Pixels holding at least one target-class point get +1, pixels holding
     only other-class points get -1, empty pixels stay 0. When a pixel
-    holds both kinds the target class wins. Expects normalized (unit
-    square) coordinates; anything outside clamps to the boundary pixels.
+    holds both kinds the target class wins. The coordinates are scaled by the
+    scaler fitted on them, so in its box; _pixel_rows_cols places them.
     """
     if target_class not in data.labels:
         raise ValueError(f"target class {target_class!r} not in vocabulary")

@@ -1,11 +1,12 @@
 """Prediction and evaluation against a trained model."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import apply_scaler
-from .grid import _pixel_rows_cols, map_to_pixel
+from .grid import _pixel_rows_cols
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,22 @@ class EvalReport:
 
 
 def predict(model, point):
-    """Classify one raw-coordinate point.
+    """Classify one raw-coordinate point; NaN raises ValueError.
 
-    The point is clamped into the scaler's fitted box (far-out points read
-    the boundary pixel all the same, and scaling cannot overflow), scaled
-    and located on the grid; NaN raises ValueError. The largest probability
-    there wins, ties to the lowest class index: predict_batch's pixel rule.
+    The lookup rule, shared with predict_batch: clamp into the scaler's fitted
+    box (so scaling lands in [0, 1] and cannot overflow), scale, and take the
+    pixel of fcdm.grid._pixel_rows_cols, here min(int(u * n), n - 1), exact as
+    n is a power of two. The largest probability wins, ties to the lowest class.
     """
     s = model.scaler
-    x1, x2 = float(point[0]), float(point[1])  # NaN fails both tests and stays
+    x1, x2 = float(point[0]), float(point[1])
+    if math.isnan(x1) or math.isnan(x2):
+        raise ValueError("cannot map NaN coordinates to a pixel")
     x1 = s.min1 if x1 < s.min1 else s.max1 if x1 > s.max1 else x1
     x2 = s.min2 if x2 < s.min2 else s.max2 if x2 > s.max2 else x2
-    i, j = map_to_pixel(apply_scaler(np.array([[x1, x2]]), s)[0], model.grid)
+    (u1, u2), = apply_scaler(np.array([[x1, x2]]), s).tolist()
+    n = model.grid.n_mesh
+    i, j = min(int(u2 * n), n - 1), min(int(u1 * n), n - 1)
     probs = model.probabilities[:, i, j].tolist()
     best = probs.index(max(probs))
     return Prediction(label=model.labels[best], probabilities=tuple(probs), pixel=(i, j))
@@ -65,16 +70,13 @@ def predict(model, point):
 def predict_batch(model, coords):
     """Classify an (n, 2) array of raw points in one vector lookup.
 
-    The same pixel rule as predict: scale (far-out points overflow to +/-inf
-    quietly), clip to the unit square (so x * n cannot overflow), floor; the
-    first maximum wins. Returns the codes (n,) into model.labels and the
-    probabilities (n, K), bit-equal to predict's. NaN raises ValueError.
+    predict's rule: clamp into the fitted box, scale, fcdm.grid._pixel_rows_cols
+    (NaN raises ValueError); the first maximum wins. Returns the codes (n,) into
+    model.labels and the probabilities (n, K), bit-equal to predict's.
     """
-    with np.errstate(over="ignore"):
-        scaled = apply_scaler(coords, model.scaler)
-    if np.isnan(scaled).any():
-        raise ValueError("cannot map NaN coordinates to a pixel")
-    i, j = _pixel_rows_cols(np.clip(scaled, 0.0, 1.0), model.grid)
+    s = model.scaler
+    boxed = np.clip(coords, (s.min1, s.min2), (s.max1, s.max2))
+    i, j = _pixel_rows_cols(apply_scaler(boxed, s), model.grid)
     probs = model.probabilities[:, i, j]
     return probs.argmax(axis=0), probs.T
 

@@ -25,10 +25,11 @@ def probability_pgm(model, class_index):
     if not (0 <= class_index < k):
         raise ValueError(f"class index {class_index} out of range [0, {k})")
     values = model.probabilities[class_index]
-    gray = np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.uint8)
     n = model.grid.n_mesh
-    header = f"P5\n{n} {n}\n255\n".encode("ascii")
-    return header + gray.tobytes()
+    gray = np.empty((n, n), dtype=np.uint8)
+    for rows in row_tiles(values):
+        gray[rows] = np.rint(255.0 * np.clip(values[rows], 0.0, 1.0))
+    return b"".join([f"P5\n{n} {n}\n255\n".encode("ascii"), memoryview(gray).cast("B")])
 
 
 def decision_ppm(model):

@@ -113,27 +113,26 @@ class ClassifierModel:
         return {lab: t.n_k for lab, t in zip(self.labels, self.traces)}
 
 
-def pearson_correlation(a, b):
-    """Pearson correlation of two fields over their flattened pixels.
+def pearson_correlation(x, y):
+    """Pearson correlation of two same-shape arrays over their flattened entries.
 
-    Both fields must share a grid. A constant field has no variance and
-    raises ValueError. The result is clipped into [-1, 1] to absorb
-    roundoff.
+    A shape mismatch, or a constant array (it has no variance), raises
+    ValueError. The result is clipped into [-1, 1] to absorb roundoff.
     """
-    if a.grid != b.grid:
-        raise ValueError("cannot correlate fields on different grids")
-    x = a.values.ravel()
-    y = b.values.ravel()
-    # tested on the values themselves: the mean of a constant field can
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"cannot correlate arrays of shapes {np.shape(x)} and {np.shape(y)}")
+    x = np.ravel(x)
+    y = np.ravel(y)
+    # tested on the values themselves: the mean of a constant array can
     # be off by roundoff, which leaves a tiny nonzero spread below
     if x.min() == x.max() or y.min() == y.max():
-        raise ValueError("correlation undefined for a constant field")
+        raise ValueError("correlation undefined for a constant array")
     dx_ = x - x.mean()
     dy_ = y - y.mean()
     sx = float(np.sqrt(dx_ @ dx_))
     sy = float(np.sqrt(dy_ @ dy_))
     if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation undefined for a constant field")
+        raise ValueError("correlation undefined for a constant array")
     r = float(dx_ @ dy_) / (sx * sy)
     return min(max(r, -1.0), 1.0)
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fcdm.dataset import Dataset
-from fcdm.grid import DensityField, GridSpec, map_to_pixel, rasterize_signed
+from fcdm.grid import DensityField, GridSpec, _pixel_rows_cols, rasterize_signed
 
 
 def test_gridspec_accepts_powers_of_two():
@@ -42,40 +42,60 @@ def test_pixel_size_exact():
     assert GridSpec(8).pixel_size == 0.125
 
 
+def _pixel(point, grid):
+    """The (i, j) pixel of one unit-scale point by the pixel rule."""
+    i, j = _pixel_rows_cols(np.array([point], dtype=np.float64), grid)
+    return int(i[0]), int(j[0])
+
+
 def test_pixel_centers():
     # the center of pixel (i, j) sits at ((j + 0.5) dx, (i + 0.5) dx)
     grid = GridSpec(8)
     centers = (np.arange(8) + 0.5) * grid.pixel_size
     assert centers[0] == 0.5 / 8
     assert centers[-1] == 7.5 / 8
-    assert [map_to_pixel((c, c), grid) for c in centers] == [(i, i) for i in range(8)]
+    assert [_pixel((c, c), grid) for c in centers] == [(i, i) for i in range(8)]
 
 
 def test_map_center_point():
-    assert map_to_pixel((0.5, 0.5), GridSpec(8)) == (4, 4)
+    assert _pixel((0.5, 0.5), GridSpec(8)) == (4, 4)
 
 
 def test_map_clamps_at_upper_edge():
-    assert map_to_pixel((1.0, 0.0), GridSpec(8)) == (0, 7)
+    assert _pixel((1.0, 0.0), GridSpec(8)) == (0, 7)
 
 
 def test_map_clamps_below_zero():
-    assert map_to_pixel((-0.2, 0.3), GridSpec(8)) == (2, 0)
+    assert _pixel((-0.2, 0.3), GridSpec(8)) == (2, 0)
 
 
 def test_map_rejects_nan():
-    with pytest.raises(ValueError):
-        map_to_pixel((float("nan"), 0.5), GridSpec(8))
+    for where in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        xy = np.array([[0.25, 0.5], [0.75, 0.125]])
+        xy[where] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            _pixel_rows_cols(xy, GridSpec(8))
+
+
+@pytest.mark.parametrize("x, edge", [
+    (np.inf, 7), (1e308, 7), (np.finfo(np.float64).max, 7),
+    (-np.inf, 0), (-1e308, 0), (-np.finfo(np.float64).max, 0),
+])
+def test_far_out_unit_scale_points_read_the_edge_pixel_without_overflow(x, edge):
+    # a RuntimeWarning (such as "overflow encountered in multiply") fails this suite
+    i, j = _pixel_rows_cols(np.array([[x, 0.3], [0.3, x]]), GridSpec(8))
+    assert i.tolist() == [2, edge]
+    assert j.tolist() == [edge, 2]
 
 
 @given(
-    x1=st.floats(allow_nan=False, allow_infinity=False, width=64),
-    x2=st.floats(allow_nan=False, allow_infinity=False, width=64),
+    x1=st.one_of(st.floats(allow_nan=False, width=64), st.sampled_from([1e308, -1e308])),
+    x2=st.one_of(st.floats(allow_nan=False, width=64), st.sampled_from([1e308, -1e308])),
     exponent=st.integers(min_value=3, max_value=9),
 )
 def test_map_always_lands_on_grid(x1, x2, exponent):
     grid = GridSpec(2**exponent)
-    i, j = map_to_pixel((x1, x2), grid)
+    i, j = _pixel((x1, x2), grid)
     assert 0 <= i < grid.n_mesh
     assert 0 <= j < grid.n_mesh
 
@@ -87,7 +107,7 @@ def test_map_always_lands_on_grid(x1, x2, exponent):
 def test_pixel_center_maps_to_own_pixel(i, j):
     grid = GridSpec(64)
     dx = grid.pixel_size
-    assert map_to_pixel(((j + 0.5) * dx, (i + 0.5) * dx), grid) == (i, j)
+    assert _pixel(((j + 0.5) * dx, (i + 0.5) * dx), grid) == (i, j)
 
 
 def _single_point_data(label_of_point, vocab=("A", "B")):
@@ -151,7 +171,7 @@ def test_rasterize_values_are_signed_indicators(columns):
         for is_target in (False, True):
             for (x1, x2), code in zip(coords.tolist(), codes.tolist()):
                 if (code == target) == is_target:
-                    expected[map_to_pixel((x1, x2), grid)] = 1.0 if is_target else -1.0
+                    expected[_pixel((x1, x2), grid)] = 1.0 if is_target else -1.0
         assert field.values.tobytes() == expected.tobytes()
 
 

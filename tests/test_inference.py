@@ -64,8 +64,9 @@ def test_predict_clamps_far_points_to_boundary():
 
 def test_predict_rejects_nan():
     model = _flat_model((0.5, 0.5))
-    with pytest.raises(ValueError):
-        predict(model, (float("nan"), 0.5))
+    for point in ((float("nan"), 0.5), (0.5, float("nan")), (float("nan"), float("inf"))):
+        with pytest.raises(ValueError, match="NaN"):
+            predict(model, point)
 
 
 def test_predict_uses_scaler():
@@ -185,8 +186,8 @@ _FAR = st.sampled_from([math.inf, -math.inf, 1e308, -1e308])
 
 @given(st.data())
 def test_predict_pixel_and_label_match_the_vector_rule(data):
-    # the scalar lookup agrees with _pixel_rows_cols on the clamped scaled
-    # point, and the label is the first maximum of the pixel's column;
+    # the scalar lookup's pixel is the pixel rule's on the scaled point,
+    # and the label is the first maximum of the pixel's column;
     # predict_batch over the same points gives that label's index and
     # that column, bit for bit
     model = data.draw(st.sampled_from(_TIE_MODELS))
@@ -206,7 +207,7 @@ def test_predict_pixel_and_label_match_the_vector_rule(data):
     assert probs.shape == (len(points), 3)
     for point, code, row in zip(points, codes.tolist(), probs):
         pred = predict(model, point)
-        i, j = _pixel_rows_cols(np.clip(apply_scaler([point], s), 0.0, 1.0), model.grid)
+        i, j = _pixel_rows_cols(apply_scaler([point], s), model.grid)
         assert pred.pixel == (int(i[0]), int(j[0]))
         column = model.probabilities[:, i[0], j[0]]
         assert pred.probabilities == tuple(column.tolist())

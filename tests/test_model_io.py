@@ -18,7 +18,7 @@ from fcdm.model_io import (
     model_to_bytes,
     save_model,
 )
-from fcdm.render import decision_ppm
+from fcdm.render import decision_ppm, probability_pgm
 from fcdm.trainer import ClassifierModel, TrainConfig, train
 
 
@@ -313,6 +313,16 @@ def test_decision_map_at_mesh_1024_allocates_little_beyond_the_image():
     image, peak = _traced_peak(lambda: decision_ppm(model))
     assert len(image) > 3 * 1024 * 1024
     assert peak < 0.3 * model.probabilities.nbytes
+
+
+def test_probability_map_at_mesh_1024_allocates_little_beyond_the_image():
+    # the image buffer and the returned bytes are 0.042 payloads each:
+    # 0.125 payloads measured (numpy 2.4), 0.667 with whole-plane float
+    # temporaries. The bound leaves about a third of margin.
+    model = _random_model(3, 1024, seed=4)
+    image, peak = _traced_peak(lambda: probability_pgm(model, 1))
+    assert len(image) > 1024 * 1024
+    assert peak < 0.17 * model.probabilities.nbytes
 
 
 def test_saving_allocates_only_the_result():

@@ -321,7 +321,7 @@ def test_correlation_with_raster_grows_with_bandwidth():
     grid = GridSpec(64)
     raster = rasterize_signed(normalized, "c0", grid)
     corrs = [
-        pearson_correlation(DensityField(grid=grid, values=smooth(raster, n)), raster)
+        pearson_correlation(smooth(raster, n), raster.values)
         for n in range(1, 9)
     ]
     assert all(b >= a for a, b in zip(corrs, corrs[1:]))
