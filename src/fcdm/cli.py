@@ -1,7 +1,6 @@
 """Command line front end: generate, train, predict, evaluate, render."""
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -124,16 +123,12 @@ def _cmd_predict(args):
     if not coords:
         raise ValueError(f"{args.input}: no points found")
     xy = np.frombuffer(coords).reshape(-1, 2)
-    codes, probs = predict_batch(model, xy)
-    # infinite points read the boundary pixel; rows stream out, made 4096 at a time
-    rows = ([repr(x1), repr(x2), model.labels[c]] + [repr(p) for p in ps]
-            for s in range(0, len(xy), 4096)
-            for (x1, x2), c, ps in zip(*(a[s:s + 4096].tolist() for a in (xy, codes, probs))))
+    codes, probs = predict_batch(model, xy)  # infinite points read the boundary pixel
     if args.out == "-":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        ds._write_rows(sys.stdout, xy, model.labels, codes, probs)
     else:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            ds._write_rows(fh, xy, model.labels, codes, probs)
         print(f"wrote {args.out}: {len(codes)} predictions")
     return 0
 

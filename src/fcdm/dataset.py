@@ -3,12 +3,14 @@
 A Dataset is columnar: an (n, 2) float64 coordinate array, an (n,) intp
 array of class codes indexing the label vocabulary, and the vocabulary
 itself. Generation, scaling, counting and splitting work on whole
-arrays; the only per-point Python loops read and write CSV rows.
+arrays; CSV rows are read one by one and written column by column.
 """
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,15 +105,20 @@ def fit_scaler(data):
     )
 
 
+def _points(points):
+    xy = np.asarray(points, dtype=np.float64)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) coordinate array, got shape {xy.shape}")
+    return xy
+
+
 def apply_scaler(points, scaler):
     """The scaler's raw affine map of coordinate pairs. Returns an (n, 2) array.
 
     Points inside the fitted box land in [0, 1]^2, points outside it
     outside that range; predict and predict_batch clamp into the box first.
     """
-    xy = np.asarray(points, dtype=np.float64)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) coordinate array, got shape {xy.shape}")
+    xy = _points(points)
     out = np.empty_like(xy)
     out[:, 0] = (xy[:, 0] - scaler.min1) / (scaler.max1 - scaler.min1)
     out[:, 1] = (xy[:, 1] - scaler.min2) / (scaler.max2 - scaler.min2)
@@ -215,24 +222,26 @@ def _csv_rows(path, has_header, field_counts):
     field_counts or unparsable coordinates raise ValueError naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if has_header and line_no == 1:
-                continue
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) not in field_counts:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected "
-                    f"{' or '.join(map(str, field_counts))} fields, got {len(row)}"
-                )
-            try:
+        rows = enumerate(csv.reader(fh), start=1)
+        if has_header:
+            next(rows, None)
+        for line_no, row in rows:
+            try:  # the common row first: two numbers and an allowed field count
                 x1, x2 = float(row[0]), float(row[1])
-            except ValueError:
+            except (ValueError, IndexError):
+                x1 = x2 = None
+            if x1 is not None and len(row) in field_counts:
+                yield line_no, x1, x2, row
+            elif any(field.strip() for field in row):  # blank rows are skipped
+                if len(row) not in field_counts:
+                    raise ValueError(
+                        f"{path}: line {line_no}: expected "
+                        f"{' or '.join(map(str, field_counts))} fields, got {len(row)}"
+                    )
                 raise ValueError(
                     f"{path}: line {line_no}: cannot parse coordinates "
                     f"{row[0]!r}, {row[1]!r}"
-                ) from None
-            yield line_no, x1, x2, row
+                )
 
 
 def load_csv(path, has_header=False):
@@ -243,23 +252,34 @@ def load_csv(path, has_header=False):
     1-based line number. The vocabulary is the labels in order of first
     appearance.
     """
-    coords, codes, vocab = [], [], {}
+    coords, codes, vocab = array("d"), [], {}
     for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise ValueError(f"{path}: line {line_no}: coordinates must be finite")
         label = row[2].strip()
         if not label:
             raise ValueError(f"{path}: line {line_no}: empty label")
-        coords.append((x1, x2))
+        coords.extend((x1, x2))
         codes.append(vocab.setdefault(label, len(vocab)))
     if len(vocab) < 2:
         raise ValueError(f"{path}: need at least 2 classes, found {len(vocab)}")
-    return Dataset(coords=coords, codes=codes, labels=tuple(vocab))
+    return Dataset(np.frombuffer(coords).reshape(-1, 2), codes, tuple(vocab))
 
 
 def write_csv(data, path):
     """Write x1,x2,label rows (no header, LF line endings, repr precision)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for (x1, x2), code in zip(data.coords.tolist(), data.codes.tolist()):
-            writer.writerow([repr(x1), repr(x2), data.labels[code]])
+        _write_rows(fh, data.coords, data.labels, data.codes)
+
+
+def _write_rows(fh, xy, labels, codes, probs=None):
+    """Write rows x1,x2,label[,p_1..p_K] of repr floats to the text stream fh, one
+    write per 4096-row tile, byte for byte as csv.writer(fh, lineterminator="\\n"):
+    a csv.writer quotes each label once, its write (str) handing back the row's text."""
+    row_text = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    quoted = [row_text(["", label])[1:-1] for label in labels]
+    columns = [xy[:, 0], xy[:, 1]] + ([] if probs is None else list(probs.T))
+    for s in range(0, len(codes), 4096):
+        cells = [map(repr, column[s:s + 4096].tolist()) for column in columns]
+        cells.insert(2, map(quoted.__getitem__, codes[s:s + 4096].tolist()))
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import apply_scaler
+from .dataset import _points, apply_scaler
 from .grid import _pixel_rows_cols
 
 
@@ -75,7 +75,7 @@ def predict_batch(model, coords):
     model.labels and the probabilities (n, K), bit-equal to predict's.
     """
     s = model.scaler
-    boxed = np.clip(coords, (s.min1, s.min2), (s.max1, s.max2))
+    boxed = np.clip(_points(coords), (s.min1, s.min2), (s.max1, s.max2))
     i, j = _pixel_rows_cols(apply_scaler(boxed, s), model.grid)
     probs = model.probabilities[:, i, j]
     return probs.argmax(axis=0), probs.T

@@ -7,9 +7,13 @@ plane, with the 2-D rfft2 / irfft2 pair and no pruning: the pruned
 transforms must reproduce them bit for bit. build_probabilities_whole,
 check_probabilities_whole and decision_ppm_whole are the passes over the
 probability stack as whole-array operations, with no row tiles: the
-tiled passes must reproduce them byte for byte.
+tiled passes must reproduce them byte for byte. csv_rows_text writes
+CSV rows with one csv.writer call per row: the column-wise row writer
+must reproduce it byte for byte.
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -130,3 +134,14 @@ def decision_ppm_whole(model):
     rgb = np.take(palette, winners, axis=0)
     n = model.grid.n_mesh
     return f"P6\n{n} {n}\n255\n".encode("ascii") + rgb.tobytes()
+
+
+def csv_rows_text(xy, labels, codes, probs=None):
+    """Rows x1,x2,label[,p_1..p_K] of repr floats as csv.writer writes them,
+    one writerow per row with LF line ends; the text, or "" for no rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for r, code in enumerate(codes.tolist()):
+        tail = [] if probs is None else [repr(p) for p in probs[r].tolist()]
+        writer.writerow([repr(x) for x in xy[r].tolist()] + [labels[code]] + tail)
+    return buf.getvalue()

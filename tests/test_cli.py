@@ -277,6 +277,27 @@ def test_predict_rejects_unparsable_coordinate(workspace, tmp_path, capsys):
     assert "line 1: cannot parse coordinates '0.5', 'abc'" in capsys.readouterr().err
 
 
+def test_predict_skips_a_numeric_header_and_whitespace_rows(workspace, tmp_path):
+    code, rows = _predict_rows(workspace, tmp_path,
+                               "1.0,2.0\n \t, \n0.5,0.25\n , ,  \n0.2,0.8,c1\n", "--header")
+    assert code == 0
+    assert [r[:2] for r in rows] == [["0.5", "0.25"], ["0.2", "0.8"]]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.1,x,c0", "cannot parse coordinates '0.1', 'x'"),
+    ("0.1,0.2,c0,9", "expected 2 or 3 fields, got 4"),
+    (" nan ,0.2,c0", "NaN coordinate"),
+    ("0.1,NaN", "NaN coordinate"),
+])
+def test_predict_bad_row_fails_on_its_own_line(workspace, tmp_path, capsys, row, message):
+    # a header, a blank line and a whitespace-only row come before it
+    code, rows = _predict_rows(workspace, tmp_path, f"x1,x2\n0.5,0.5\n\n , \n{row}\n",
+                               "--header")
+    assert (code, rows) == (1, [])
+    assert capsys.readouterr().err == f"error: {tmp_path / 'in.csv'}: line 5: {message}\n"
+
+
 def test_predict_rejects_file_without_points(workspace, tmp_path, capsys):
     code, _ = _predict_rows(workspace, tmp_path, "\n\n")
     assert code == 1

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from fcdm.dataset import (
     Dataset,
     FeatureScaler,
+    _write_rows,
     apply_scaler,
     fit_scaler,
     generate_spirals,
@@ -17,6 +19,7 @@ from fcdm.dataset import (
     split,
     write_csv,
 )
+from oracles import csv_rows_text
 
 
 def _write(tmp_path, text, name="d.csv"):
@@ -86,6 +89,76 @@ def test_write_then_load_round_trip(tmp_path):
 def test_vocabulary_order_is_first_appearance(tmp_path):
     data = load_csv(_write(tmp_path, "0,1,Z\n1,0,A\n2,2,Z\n3,3,M\n"))
     assert data.labels == ("Z", "A", "M")
+
+
+def test_header_that_parses_as_numbers_is_skipped(tmp_path):
+    data = load_csv(_write(tmp_path, "1.0,2.0,3\n0.1,0.2,A\n0.3,0.4,B\n"),
+                    has_header=True)
+    assert data.coords.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+
+@pytest.mark.parametrize("blank", [" , ", "\t,  ", " , ,\t", " ", " , , , "])
+def test_whitespace_only_rows_are_skipped(tmp_path, blank):
+    data = load_csv(_write(tmp_path, f"0.1,0.2,A\n{blank}\n0.3,0.4,B\n"))
+    assert data.coords.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.3,x,B", "line 4: cannot parse coordinates '0.3', 'x'"),
+    (" ,0.4,B", "line 4: cannot parse coordinates ' ', '0.4'"),
+    ("0.3,0.4,B,9", "line 4: expected 3 fields, got 4"),
+    ("0.3,0.4", "line 4: expected 3 fields, got 2"),
+    ("0.3", "line 4: expected 3 fields, got 1"),
+])
+def test_bad_rows_keep_their_messages_and_line_numbers(tmp_path, row, message):
+    # line 2 is empty and line 3 whitespace: both skipped, both counted
+    path = _write(tmp_path, f"0.1,0.2,A\n\n  \n{row}\n0.5,0.6,B\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# ---------------------------------------------------------------- writing
+
+_EDGE_FLOATS = [math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.1e-308, 2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+_LABEL_TEXT = st.text(
+    st.sampled_from([",", '"', "\n", "\r", " ", "a", "é", "中", "🙂"])
+    | st.characters(exclude_categories=("Cs",)),
+    min_size=1, max_size=6,
+)
+
+
+@given(st.data())
+def test_row_writer_writes_what_csv_writer_writes(data):
+    # the column-wise writer of write_csv and fcdm predict against one
+    # csv.writer call per row; row counts on both sides of the 4096-row tile
+    k = data.draw(st.integers(2, 5), label="K")
+    labels = data.draw(st.lists(_LABEL_TEXT, min_size=k, max_size=k, unique=True))
+    n = data.draw(st.sampled_from([0, 1, 3, 4095, 4096, 4097, 8193]), label="rows")
+    floats = data.draw(st.lists(st.floats(allow_nan=False) | st.sampled_from(_EDGE_FLOATS),
+                                min_size=1, max_size=50))
+    codes = np.resize(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=50)), n)
+    values = np.resize(np.array(floats), (2 + k) * n)
+    xy = values[: 2 * n].reshape(n, 2)
+    probs = values[2 * n:].reshape(k, n).T  # predict_batch's (n, K) view
+    for extra in (None, probs):
+        out = io.StringIO()
+        _write_rows(out, xy, labels, codes, extra)
+        want = csv_rows_text(xy, labels, codes, extra)
+        # lists of lines: pytest reports the first differing one, not a text diff
+        assert out.getvalue().splitlines(True) == want.splitlines(True)
+
+
+def test_write_csv_quotes_labels_as_csv_writer_does(tmp_path):
+    labels = ("a,b", 'q"x', "two\nlines", " spaced ", "naïve 中")
+    data = Dataset(coords=[(0.1 * r, -0.0) for r in range(10)],
+                   codes=[r % 5 for r in range(10)], labels=labels)
+    path = tmp_path / "quoted.csv"
+    write_csv(data, path)
+    text = csv_rows_text(data.coords, labels, data.codes)
+    assert '"a,b"' in text and '"q""x"' in text
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_dataset_rejects_unknown_point_label():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,16 @@ def test_predict_batch_rejects_nan_anywhere(where):
     points[where] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         predict_batch(_TIE_MODELS[1], points)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3,), (4, 2, 1)])
+def test_predict_batch_and_apply_scaler_name_a_wrong_shape(shape):
+    model = _TIE_MODELS[0]
+    message = re.escape(f"expected an (n, 2) coordinate array, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        predict_batch(model, np.full(shape, 0.5))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_scaler(np.full(shape, 0.5), model.scaler)
 
 
 def test_predict_batch_of_no_points_is_empty():
