@@ -127,7 +127,8 @@ def apply_scaler(points, scaler):
 
 def normalize_dataset(data, scaler):
     """Return a copy of the dataset with coordinates pushed through the scaler."""
-    return Dataset(apply_scaler(data.coords, scaler), data.codes, data.labels)
+    with np.errstate(over="ignore"):  # a far-out point scales to inf, which Dataset rejects
+        return Dataset(apply_scaler(data.coords, scaler), data.codes, data.labels)
 
 
 def _gaussian_pairs(rng, n):

@@ -30,6 +30,8 @@ from .trainer import ClassifierModel
 MAGIC = b"FCDM"
 VERSION = 1
 
+_HEADER = struct.Struct("<4s4Id4d")  # magic through scaler: 60 bytes
+_LENGTH = struct.Struct("<I")
 _F64 = np.dtype("<f8")
 
 
@@ -39,20 +41,15 @@ class ModelFormatError(ValueError):
 
 def model_to_bytes(model):
     """Serialize a model to its binary representation."""
-    k = len(model.labels)
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack("<IIII", VERSION, k, model.grid.n_mesh, model.n_final)
-    header += struct.pack("<d", model.epsilon)
     s = model.scaler
-    header += struct.pack("<4d", s.min1, s.max1, s.min2, s.max2)
+    parts = [_HEADER.pack(MAGIC, VERSION, len(model.labels), model.grid.n_mesh,
+                          model.n_final, model.epsilon, s.min1, s.max1, s.min2, s.max2)]
     for lab in model.labels:
         raw = lab.encode("utf-8")
-        header += struct.pack("<I", len(raw))
-        header += raw
+        parts += [_LENGTH.pack(len(raw)), raw]
     # one allocation: the payload is copied once, into the result
     payload = np.ascontiguousarray(model.probabilities, dtype=_F64)
-    return b"".join([header, memoryview(payload).cast("B")])
+    return b"".join([*parts, memoryview(payload).cast("B")])
 
 
 def save_model(model, path):
@@ -61,74 +58,49 @@ def save_model(model, path):
         fh.write(model_to_bytes(model))
 
 
-class _Cursor:
-    """Sequential reader over a byte buffer that errors on truncation."""
+def _end(buf, pos, n):
+    """pos + n, once buf is known to hold n bytes from offset pos."""
+    if pos + n > len(buf):
+        raise ValueError(
+            f"truncated (needed {n} bytes at offset {pos}, have {len(buf) - pos})"
+        )
+    return pos + n
 
-    def __init__(self, buf, name):
-        self.buf = buf
-        self.name = name
-        self.pos = 0
 
-    def skip(self, n):
-        if self.pos + n > len(self.buf):
-            raise ModelFormatError(
-                f"{self.name}: truncated (needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos})"
-            )
-        self.pos += n
-        return self.pos - n
-
-    def take(self, n):
-        return self.buf[self.skip(n):self.pos]
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+def _parse(buf):
+    pos = _end(buf, 0, _HEADER.size)
+    magic, version, k, n_mesh, n_final, epsilon, *bounds = _HEADER.unpack_from(buf)
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise ValueError(f"unsupported version {version}")
+    labels = []
+    for _ in range(k):
+        start = _end(buf, pos, _LENGTH.size)
+        (length,) = _LENGTH.unpack_from(buf, pos)
+        pos = _end(buf, start, length)
+        labels.append(str(buf[start:pos], "utf-8"))
+    count = k * n_mesh * n_mesh
+    if _end(buf, pos, 8 * count) != len(buf):
+        raise ValueError(f"{len(buf) - pos - 8 * count} trailing bytes after the last field")
+    probs = np.frombuffer(buf, dtype=_F64, count=count, offset=pos)
+    probs.flags.writeable = False
+    return ClassifierModel(
+        labels=tuple(labels),
+        grid=GridSpec(n_mesh),
+        scaler=FeatureScaler(*bounds),
+        n_final=n_final,
+        epsilon=epsilon,
+        probabilities=probs.reshape(k, n_mesh, n_mesh),
+    )
 
 
 def model_from_bytes(buf, name="<bytes>"):
-    """Deserialize a model, validating magic, version, and exact length."""
-    cur = _Cursor(buf, name)
-    magic = cur.take(4)
-    if magic != MAGIC:
-        raise ModelFormatError(f"{name}: bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = cur.unpack("<I")
-    if version != VERSION:
-        raise ModelFormatError(f"{name}: unsupported version {version}")
-    k, n_mesh, n_final = cur.unpack("<III")
-    if k < 2:
-        raise ModelFormatError(f"{name}: class count {k} below 2")
-    (epsilon,) = cur.unpack("<d")
-    min1, max1, min2, max2 = cur.unpack("<4d")
-    labels = []
-    for _ in range(k):
-        (length,) = cur.unpack("<I")
-        raw = cur.take(length)
-        try:
-            labels.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"{name}: label is not valid UTF-8") from exc
+    """Deserialize a model from any bytes-like buffer; a malformed one, from a
+    wrong magic or length to a model ClassifierModel rejects, raises ModelFormatError."""
     try:
-        grid = GridSpec(n_mesh=int(n_mesh))
-        scaler = FeatureScaler(min1=min1, max1=max1, min2=min2, max2=max2)
-    except ValueError as exc:
-        raise ModelFormatError(f"{name}: {exc}") from exc
-    offset = cur.skip(8 * k * n_mesh * n_mesh)
-    if cur.pos != len(buf):
-        raise ModelFormatError(
-            f"{name}: {len(buf) - cur.pos} trailing bytes after the last field"
-        )
-    probs = np.frombuffer(buf, dtype=_F64, count=k * n_mesh * n_mesh, offset=offset)
-    probs.flags.writeable = False
-    try:
-        return ClassifierModel(
-            labels=tuple(labels),
-            grid=grid,
-            scaler=scaler,
-            n_final=int(n_final),
-            epsilon=epsilon,
-            probabilities=probs.reshape(k, n_mesh, n_mesh),
-        )
-    except ValueError as exc:
+        return _parse(buf)
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ModelFormatError(f"{name}: {exc}") from exc
 
 

@@ -524,6 +524,30 @@ def test_render_bad_what_flag(workspace, tmp_path):
     assert code == 2
 
 
+# ---------------------------------------------------------- corrupted models
+
+@pytest.mark.parametrize("corrupt", ["truncated", "bad magic"])
+@pytest.mark.parametrize("command", ["predict", "evaluate", "render"])
+def test_corrupted_model_is_runtime_error_naming_the_file(workspace, tmp_path, capsys,
+                                                          command, corrupt):
+    raw = workspace["model"].read_bytes()
+    raw = raw[:100] if corrupt == "truncated" else b"XXXX" + raw[4:]
+    model = tmp_path / "broken.fcdm"
+    model.write_bytes(raw)
+    out = tmp_path / "out"
+    argv = {
+        "predict": ["--input", str(workspace["csv"]), "--out", str(out)],
+        "evaluate": ["--input", str(workspace["csv"])],
+        "render": ["--out", str(out)],
+    }[command]
+    code, _ = _run([command, "--model", str(model), *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "broken.fcdm" in err and corrupt in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- harness
 
 def test_help_exits_zero():

@@ -261,6 +261,15 @@ def test_normalize_dataset_keeps_labels_and_order():
     assert normalized.coords.min() >= 0.0 and normalized.coords.max() <= 1.0
 
 
+def test_normalize_dataset_rejects_a_far_out_point_without_a_warning():
+    # a scaler fitted elsewhere maps 1e308 past the float range; the suite's
+    # error::RuntimeWarning filter turns numpy's overflow warning into an
+    # error, so only the Dataset's own check may speak
+    data = Dataset([(1e308, 0.1), (0.2, 0.2)], [0, 1], ("a", "b"))
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        normalize_dataset(data, FeatureScaler(0.05, 0.3, 0.05, 0.3))
+
+
 # ---------------------------------------------------------------- spirals
 
 def test_spirals_count_contract():

@@ -137,6 +137,38 @@ def test_bad_mesh_in_file_rejected():
         model_from_bytes(bytes(raw))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_class_count_below_two_rejected_naming_file(tmp_path, k):
+    # a file that is valid but for its class count: K labels, fields of 1.0
+    raw = (
+        MAGIC
+        + struct.pack("<IIII", VERSION, k, 8, 3)
+        + struct.pack("<5d", 0.01, 0.0, 1.0, 0.0, 1.0)
+        + (struct.pack("<I", 1) + b"a") * k
+        + np.ones((k, 8, 8), dtype="<f8").tobytes()
+    )
+    path = tmp_path / "few.fcdm"
+    path.write_bytes(raw)
+    with pytest.raises(ModelFormatError, match=r"few\.fcdm: .*class"):
+        load_model(path)
+
+
+def test_non_utf8_label_rejected_naming_source():
+    raw = bytearray(model_to_bytes(_toy_model()))
+    raw[64] = 0xFF  # the first label's one byte
+    with pytest.raises(ModelFormatError, match="(?i)<bytes>: .*utf-8"):
+        model_from_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_every_bytes_like_buffer_loads(wrap):
+    model = _toy_model(labels=("café", "日本"), seed=6)
+    raw = model_to_bytes(model)
+    back = model_from_bytes(wrap(raw))
+    assert back.labels == model.labels
+    assert model_to_bytes(back) == raw
+
+
 def test_format_error_is_a_value_error():
     assert issubclass(ModelFormatError, ValueError)
 
