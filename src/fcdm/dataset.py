@@ -38,12 +38,12 @@ class Dataset:
         coords = _readonly(self.coords, np.float64)
         codes = _readonly(self.codes, np.intp)
         labels = tuple(self.labels)
+        if not all(isinstance(lab, str) and lab for lab in labels):
+            raise ValueError("point label must be a non-empty string")
         if len(set(labels)) != len(labels):
             raise ValueError("label vocabulary contains duplicates")
         if len(labels) < 2:
             raise ValueError(f"need at least 2 classes, got {len(labels)}")
-        if not all(labels):
-            raise ValueError("point label must be a non-empty string")
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError(f"coords must have shape (n, 2), got {coords.shape}")
         if codes.shape != (len(coords),):
@@ -98,10 +98,11 @@ def fit_scaler(data):
     """
     if len(data) == 0:
         raise ValueError("cannot fit a scaler to an empty dataset")
-    min1, min2 = data.coords.min(axis=0)
-    max1, max2 = data.coords.max(axis=0)
+    x1, x2 = data.coords.T  # a 1-D reduction per column: min(axis=0) over rows of 2 is slow
+    # + 0.0 stores a zero bound as +0.0, whichever zero the reduction order picked
     return FeatureScaler(
-        min1=float(min1), max1=float(max1), min2=float(min2), max2=float(max2)
+        min1=float(x1.min()) + 0.0, max1=float(x1.max()) + 0.0,
+        min2=float(x2.min()) + 0.0, max2=float(x2.max()) + 0.0,
     )
 
 

@@ -73,10 +73,12 @@ def rasterize_signed(data, target_class, grid):
     """
     if target_class not in data.labels:
         raise ValueError(f"target class {target_class!r} not in vocabulary")
-    i, j = _pixel_rows_cols(data.coords, grid)
-    is_target = data.codes == data.labels.index(target_class)
-    values = np.zeros((grid.n_mesh, grid.n_mesh), dtype=np.float64)
-    values[i[~is_target], j[~is_target]] = -1.0
+    n = grid.n_mesh
+    flat, j = _pixel_rows_cols(data.coords, grid)
+    flat *= n
+    flat += j  # pixel (i, j) is entry i * n + j of the row-major raster
+    values = np.zeros(n * n, dtype=np.float64)
+    values[flat] = -1.0
     # written last so shared pixels resolve to the target class
-    values[i[is_target], j[is_target]] = 1.0
-    return DensityField(grid=grid, values=values)
+    values[flat[data.codes == data.labels.index(target_class)]] = 1.0
+    return DensityField(grid=grid, values=values.reshape(n, n))

@@ -54,8 +54,9 @@ def model_to_bytes(model):
 
 def save_model(model, path):
     """Write the model to a file (see the module docstring for the layout)."""
+    buf = model_to_bytes(model)  # first: a failed serialization leaves an existing file whole
     with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+        fh.write(buf)
 
 
 def _end(buf, pos, n):

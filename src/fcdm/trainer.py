@@ -81,6 +81,8 @@ class ClassifierModel:
         k = len(self.labels)
         if k < 2:
             raise ValueError(f"need at least 2 classes, got {k}")
+        if not all(isinstance(lab, str) for lab in self.labels):
+            raise ValueError(f"labels must be strings, got {self.labels!r}")
         if len(set(self.labels)) != k:
             raise ValueError("label vocabulary contains duplicates")
         probs = self.probabilities = np.ascontiguousarray(self.probabilities, dtype=np.float64)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fcdm.dataset import (
     Dataset,
@@ -186,6 +187,13 @@ def test_dataset_rejects_empty_label():
         Dataset(coords=[(0.1, 0.2)], codes=[0], labels=("A", ""))
 
 
+@pytest.mark.parametrize("labels", [(1, 2), ("A", 2), (b"A", "B")])
+def test_dataset_rejects_labels_that_are_not_strings(labels):
+    # save_model writes labels as UTF-8, so a model could not be saved with these
+    with pytest.raises(ValueError, match="point label must be a non-empty string"):
+        Dataset(coords=[(0.1, 0.2), (0.3, 0.4)], codes=[0, 1], labels=labels)
+
+
 def test_dataset_arrays_are_read_only_copies():
     coords = np.array([[0.1, 0.2], [0.3, 0.4]])
     codes = np.array([0, 1])
@@ -219,6 +227,31 @@ def test_fit_scaler_constant_feature_rejected():
     data = Dataset(coords=[(5, 1), (5, 2)], codes=[0, 1], labels=("A", "B"))
     with pytest.raises(ValueError, match="x1"):
         fit_scaler(data)
+
+
+# zeros of both signs, the smallest subnormals and two ordinary values: ties
+# between -0.0 and +0.0 at the minimum or maximum of a column are common
+_ZERO_HEAVY = [0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0]
+
+
+@given(
+    st.one_of(st.integers(min_value=1, max_value=300), st.just(4097)).flatmap(
+        lambda n: arrays(np.float64, (n, 2), elements=st.sampled_from(_ZERO_HEAVY))
+    )
+)
+def test_fit_scaler_matches_axis_0_bounds_and_stores_zero_as_plus_zero(coords):
+    data = Dataset(coords=coords, codes=np.arange(len(coords)) % 2, labels=("A", "B"))
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    if not (hi > lo).all():
+        with pytest.raises(ValueError, match="degenerate"):
+            fit_scaler(data)
+        return
+    s = fit_scaler(data)
+    bounds = [s.min1, s.max1, s.min2, s.max2]
+    assert bounds == [lo[0], hi[0], lo[1], hi[1]]
+    # the model header stores these bytes: a zero bound is +0.0 whatever the
+    # order in which numpy reduced the column
+    assert not any(math.copysign(1.0, b) < 0 for b in bounds if b == 0)
 
 
 def test_apply_scaler_midpoint_and_edges():

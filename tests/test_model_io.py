@@ -102,6 +102,23 @@ def test_non_ascii_labels_round_trip():
     assert back.labels == ("café", "日本")
 
 
+def test_non_string_labels_rejected():
+    # such a model could not be saved: the labels are written as UTF-8
+    for labels in ((1, 2), ("a", 2), (b"a", "b")):
+        with pytest.raises(ValueError, match="labels must be strings"):
+            _toy_model(labels=labels)
+
+
+def test_a_failed_save_leaves_the_old_file_unchanged(tmp_path):
+    path = tmp_path / "model.fcdm"
+    save_model(_toy_model(), path)
+    before = path.read_bytes()
+    bad = _toy_model(labels=("a", "\ud800"))  # a lone surrogate has no UTF-8 form
+    with pytest.raises(ValueError):  # UnicodeEncodeError
+        save_model(bad, path)
+    assert path.read_bytes() == before
+
+
 def test_bad_magic_rejected():
     raw = bytearray(model_to_bytes(_toy_model()))
     raw[:4] = b"XXXX"
