@@ -115,14 +115,20 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    coords = array("d")  # x1, x2 pairs, all read before any output is opened
-    for line_no, x1, x2, _ in ds._csv_rows(args.input, args.header, (2, 3)):
-        if math.isnan(x1) or math.isnan(x2):
-            raise ValueError(f"{args.input}: line {line_no}: NaN coordinate")
-        coords.extend((x1, x2))
-    if not coords:
-        raise ValueError(f"{args.input}: no points found")
-    xy = np.frombuffer(coords).reshape(-1, 2)
+    for third in ("U1", None):  # a one-character third field keeps no labels
+        rows = ds._fast_rows(args.input, args.header, third)
+        if rows is not None:
+            xy = rows["xy"]
+            break
+    else:  # the reference loop, which names the line at fault
+        coords = array("d")  # all read before any output is opened
+        for line_no, x1, x2, _ in ds._csv_rows(args.input, args.header, (2, 3)):
+            if math.isnan(x1) or math.isnan(x2):
+                raise ValueError(f"{args.input}: line {line_no}: NaN coordinate")
+            coords.extend((x1, x2))
+        if not coords:
+            raise ValueError(f"{args.input}: no points found")
+        xy = np.frombuffer(coords).reshape(-1, 2)
     codes, probs = predict_batch(model, xy)  # infinite points read the boundary pixel
     if args.out == "-":
         ds._write_rows(sys.stdout, xy, model.labels, codes, probs)

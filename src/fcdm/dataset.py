@@ -3,13 +3,16 @@
 A Dataset is columnar: an (n, 2) float64 coordinate array, an (n,) intp
 array of class codes indexing the label vocabulary, and the vocabulary
 itself. Generation, scaling, counting and splitting work on whole
-arrays; CSV rows are read one by one and written column by column.
+arrays; CSV is read by numpy's C reader (or csv.reader) and written by column.
 """
 
 import csv
 import math
+import warnings
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,14 +223,16 @@ def split(data, test_fraction, seed):
 def _csv_rows(path, has_header, field_counts):
     """Yield (line_no, x1, x2, row) for each non-blank CSV row.
 
-    line_no is 1-based and counts a skipped header. A field count not in
-    field_counts or unparsable coordinates raise ValueError naming the line.
+    line_no is the 1-based line a row starts on, counting a skipped header and quoted
+    newlines. A wrong field count or unparsable coordinates raise ValueError naming it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
+        reader = csv.reader(fh)
         if has_header:
-            next(rows, None)
-        for line_no, row in rows:
+            next(reader, None)
+        end = reader.line_num  # the line the previous row ended on
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
             try:  # the common row first: two numbers and an allowed field count
                 x1, x2 = float(row[0]), float(row[1])
             except (ValueError, IndexError):
@@ -246,6 +251,23 @@ def _csv_rows(path, has_header, field_counts):
                 )
 
 
+def _fast_rows(path, has_header, third=None, converter=None):
+    """The rows _csv_rows reads (the file opened alike, csv skipping the header), by numpy's
+    C reader: x1, x2 in field "xy" and, if third is a dtype, the third field (through
+    converter if given) in "f". None on any numpy error or warning, or a non-finite x1, x2."""
+    fields = [("xy", np.float64, (2,))] + ([("f", third)] if third else [])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file's warning, say, refuses it too
+            if has_header:
+                next(csv.reader(fh), None)
+            rows = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, quotechar='"',
+                              ndmin=1, converters={2: converter} if converter else None)
+    except (ValueError, Warning):
+        return None
+    return rows if np.isfinite(rows["xy"]).all() else None
+
+
 def load_csv(path, has_header=False):
     """Read a labeled dataset from CSV rows of the form x1,x2,label.
 
@@ -254,18 +276,26 @@ def load_csv(path, has_header=False):
     1-based line number. The vocabulary is the labels in order of first
     appearance.
     """
-    coords, codes, vocab = array("d"), [], {}
-    for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise ValueError(f"{path}: line {line_no}: coordinates must be finite")
-        label = row[2].strip()
-        if not label:
-            raise ValueError(f"{path}: line {line_no}: empty label")
-        coords.extend((x1, x2))
-        codes.append(vocab.setdefault(label, len(vocab)))
+    raw = defaultdict(count().__next__)  # label -> code as read: a lookup in C a row
+    rows = _fast_rows(path, has_header, np.intp, raw.__getitem__)
+    vocab = {}
+    recode = np.array([vocab.setdefault(lab.strip(), len(vocab)) for lab in raw], np.intp)
+    if rows is not None and "" not in vocab:
+        xy, codes = rows["xy"], recode[rows["f"]]
+    else:  # the reference loop raises what the fast read refused, naming the line
+        coords, codes, vocab = array("d"), [], {}
+        for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
+            if not (math.isfinite(x1) and math.isfinite(x2)):
+                raise ValueError(f"{path}: line {line_no}: coordinates must be finite")
+            label = row[2].strip()
+            if not label:
+                raise ValueError(f"{path}: line {line_no}: empty label")
+            coords.extend((x1, x2))
+            codes.append(vocab.setdefault(label, len(vocab)))
+        xy = np.frombuffer(coords).reshape(-1, 2)
     if len(vocab) < 2:
         raise ValueError(f"{path}: need at least 2 classes, found {len(vocab)}")
-    return Dataset(np.frombuffer(coords).reshape(-1, 2), codes, tuple(vocab))
+    return Dataset(xy, codes, tuple(vocab))
 
 
 def write_csv(data, path):

@@ -7,6 +7,7 @@ all classes is the largest of the per-class stops, which keeps every
 class at least as sharp as its own optimum.
 """
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -97,7 +98,7 @@ class ClassifierModel:
         for tile in (probs[:, rows] for rows in row_tiles(probs)):
             if not (tile.min() >= -1e-12 and tile.max() <= 1.0 + 1e-12):
                 raise ValueError("probability fields leave [0, 1]")
-            total = tile.sum(axis=0)  # finite: the range passed
+            total = _class_sum(tile)  # finite: the range passed
             worst = max(worst, total.max() - 1.0, 1.0 - total.min())  # max |total - 1|
         if not (worst <= 1e-9):
             raise ValueError("probability fields do not sum to 1 per pixel")
@@ -173,6 +174,11 @@ def find_optimal_iteration(spectrum, epsilon, n_max):
     return stopping_rule(consecutive_correlations(spectrum), epsilon, n_max)
 
 
+def _class_sum(tile):
+    """tile.sum(axis=0) of a (K, rows, n) tile by K - 1 in-place adds, in numpy's order."""
+    return functools.reduce(operator.iadd, tile[2:], tile[0] + tile[1])
+
+
 def build_probabilities(probs):
     """Normalize a (K, n, n) float64 stack of smoothed class densities in place.
 
@@ -187,7 +193,7 @@ def build_probabilities(probs):
     low = probs.min()
     for tile in (probs[:, rows] for rows in row_tiles(probs)):
         tile -= low
-        total = tile.sum(axis=0)
+        total = _class_sum(tile)
         degenerate = total < _DEGENERATE_EPS
         total[degenerate] = 1.0
         tile /= total

@@ -304,6 +304,22 @@ def test_predict_rejects_file_without_points(workspace, tmp_path, capsys):
     assert "no points found" in capsys.readouterr().err
 
 
+def test_predict_names_the_line_a_row_starts_on(workspace, tmp_path, capsys):
+    # the quoted label of row 1 spans lines 1 and 2
+    code, rows = _predict_rows(workspace, tmp_path, '0.1,0.2,"a\nb"\n0.3,0.4,c\n0.5,zz,c\n')
+    assert (code, rows) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'in.csv'}: line 4: cannot parse coordinates '0.5', 'zz'\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n", "x1,x2\n"])
+def test_predict_of_an_empty_file_keeps_its_message(workspace, tmp_path, capsys, text):
+    code, rows = _predict_rows(workspace, tmp_path, text, "--header")
+    assert (code, rows) == (1, [])
+    assert capsys.readouterr().err == f"error: {tmp_path / 'in.csv'}: no points found\n"
+
+
 def test_predict_clamps_infinite_coordinates(workspace, tmp_path):
     # +-inf reads the boundary pixel, exactly like a far-out finite point
     code, rows = _predict_rows(workspace, tmp_path, "inf,-inf\n1e300,-1e300\n-inf,inf\n")

@@ -110,6 +110,8 @@ def test_whitespace_only_rows_are_skipped(tmp_path, blank):
     ("0.3,0.4,B,9", "line 4: expected 3 fields, got 4"),
     ("0.3,0.4", "line 4: expected 3 fields, got 2"),
     ("0.3", "line 4: expected 3 fields, got 1"),
+    # a quoted label spans lines 4 and 5, so the bad row starts on line 6
+    ('0.3,0.4,"a\nb"\n0.5,zz,B', "line 6: cannot parse coordinates '0.5', 'zz'"),
 ])
 def test_bad_rows_keep_their_messages_and_line_numbers(tmp_path, row, message):
     # line 2 is empty and line 3 whitespace: both skipped, both counted
@@ -117,6 +119,26 @@ def test_bad_rows_keep_their_messages_and_line_numbers(tmp_path, row, message):
     with pytest.raises(ValueError) as info:
         load_csv(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_line_numbers_count_the_lines_of_quoted_fields(tmp_path):
+    path = _write(tmp_path, '0.1,0.2,"a\nb"\n0.3,0.4,c\n0.5,zz,c\n')
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: line 4: cannot parse coordinates '0.5', 'zz'"
+    # a header whose quoted field spans lines 1 and 2
+    path = _write(tmp_path, '"x\n1",x2,label\n0.1,0.2,A\nbad,0.4,B\n')
+    with pytest.raises(ValueError, match="line 4: cannot parse coordinates 'bad', '0.4'"):
+        load_csv(path, has_header=True)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n", "\r\n \n"])
+def test_empty_file_keeps_its_message(tmp_path, text):
+    path = _write(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: need at least 2 classes, found 0"
 
 
 # ---------------------------------------------------------------- writing

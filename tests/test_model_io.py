@@ -1,5 +1,7 @@
 import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -193,6 +195,45 @@ def test_format_error_is_a_value_error():
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "absent.fcdm")
+
+
+@pytest.mark.parametrize("extra", range(8))
+def test_loaded_fields_are_aligned_at_every_payload_offset(tmp_path, extra):
+    # labels of 1 + extra and 1 bytes: the fields start at 70 + extra, so
+    # the eight cases cover every residue mod 8
+    path, again = tmp_path / "m.fcdm", tmp_path / "again.fcdm"
+    save_model(_toy_model(labels=("a" * (1 + extra), "b"), seed=extra), path)
+    raw = path.read_bytes()
+    assert _payload_offset(raw, 2, 8) == 70 + extra
+    back = load_model(path)
+    assert back.probabilities.flags.aligned
+    save_model(back, again)
+    assert again.read_bytes() == raw
+
+
+def test_loading_a_cut_or_extended_file_keeps_its_messages(tmp_path):
+    raw = model_to_bytes(_toy_model())  # fields: 1024 bytes from offset 70
+    path = tmp_path / "m.fcdm"
+    for data, message in ((raw[:-1], "truncated (needed 1024 bytes at offset 70, have 1023)"),
+                          (raw + b"xyz", "3 trailing bytes after the last field")):
+        path.write_bytes(data)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+def test_a_model_read_from_a_pipe_loads(tmp_path):
+    # a pipe reports size 0: the bytes past what stat gave are read too
+    raw = model_to_bytes(_toy_model(seed=3))
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        back = load_model(pipe)
+    finally:
+        writer.join()
+    assert model_to_bytes(back) == raw
 
 
 def _random_model(k, n, seed):

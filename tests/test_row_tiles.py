@@ -15,7 +15,7 @@ from fcdm.grid import DensityField, GridSpec
 from fcdm.model_io import model_to_bytes
 from fcdm.render import class_palette, decision_ppm
 from fcdm.spectral import PrunedSpectrum, row_tiles, smooth_density
-from fcdm.trainer import ClassifierModel, TrainConfig, build_probabilities, train
+from fcdm.trainer import ClassifierModel, TrainConfig, _class_sum, build_probabilities, train
 from oracles import (
     build_probabilities_whole,
     check_probabilities_whole,
@@ -218,3 +218,11 @@ def test_training_is_byte_identical_under_a_small_tile_budget(monkeypatch, k):
     _five_row_tiles(monkeypatch, reference.probabilities)
     model = train(data, config)
     assert model_to_bytes(model) + decision_ppm(model) == expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_class_sum_is_the_axis_0_sum_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    stack = rng.random((k, 40, 64)) * 10.0 ** rng.integers(-8, 9, size=(k, 40, 64))
+    for tile in (stack, stack[:, 5:17]):  # a whole stack and a row tile of it
+        assert _class_sum(tile).tobytes() == tile.sum(axis=0).tobytes()
