@@ -12,15 +12,36 @@ fcdm.spectral and fcdm.trainer.
 
 from .dataset import Dataset, generate_spirals, load_csv, split, write_csv
 from .inference import EvalReport, Prediction, evaluate, predict
-from .model_io import ModelFormatError, load_model, model_from_bytes, model_to_bytes, save_model
+from .model_io import (
+    ModelFormatError,
+    load_model,
+    model_from_bytes,
+    model_to_bytes,
+    save_model,
+)
 from .render import decision_ppm, probability_pgm
 from .trainer import ClassifierModel, TrainConfig, train
 
 __all__ = [
-    "ClassifierModel", "Dataset", "EvalReport", "ModelFormatError", "Prediction",
-    "TrainConfig", "decision_ppm", "evaluate", "generate_spirals", "load_csv",
-    "load_model", "model_from_bytes", "model_to_bytes", "predict",
-    "probability_pgm", "save_model", "split", "train", "write_csv",
+    "ClassifierModel",
+    "Dataset",
+    "EvalReport",
+    "ModelFormatError",
+    "Prediction",
+    "TrainConfig",
+    "decision_ppm",
+    "evaluate",
+    "generate_spirals",
+    "load_csv",
+    "load_model",
+    "model_from_bytes",
+    "model_to_bytes",
+    "predict",
+    "probability_pgm",
+    "save_model",
+    "split",
+    "train",
+    "write_csv",
 ]
 
 __version__ = "0.1.0"

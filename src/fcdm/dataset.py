@@ -224,31 +224,35 @@ def _csv_rows(path, has_header, field_counts):
     """Yield (line_no, x1, x2, row) for each non-blank CSV row.
 
     line_no is the 1-based line a row starts on, counting a skipped header and quoted
-    newlines. A wrong field count or unparsable coordinates raise ValueError naming it.
+    newlines. A wrong field count, unparsable coordinates or a csv.Error (a field over
+    csv.field_size_limit(), say) raise ValueError naming it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if has_header:
-            next(reader, None)
-        end = reader.line_num  # the line the previous row ended on
-        for row in reader:
-            line_no, end = end + 1, reader.line_num
-            try:  # the common row first: two numbers and an allowed field count
-                x1, x2 = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                x1 = x2 = None
-            if x1 is not None and len(row) in field_counts:
-                yield line_no, x1, x2, row
-            elif any(field.strip() for field in row):  # blank rows are skipped
-                if len(row) not in field_counts:
+        reader, end = csv.reader(fh), 0  # end: the line the previous row ended on
+        try:
+            if has_header:
+                next(reader, None)
+            end = reader.line_num
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                try:  # the common row first: two numbers and an allowed field count
+                    x1, x2 = float(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    x1 = x2 = None
+                if x1 is not None and len(row) in field_counts:
+                    yield line_no, x1, x2, row
+                elif any(field.strip() for field in row):  # blank rows are skipped
+                    if len(row) not in field_counts:
+                        raise ValueError(
+                            f"{path}: line {line_no}: expected "
+                            f"{' or '.join(map(str, field_counts))} fields, got {len(row)}"
+                        )
                     raise ValueError(
-                        f"{path}: line {line_no}: expected "
-                        f"{' or '.join(map(str, field_counts))} fields, got {len(row)}"
+                        f"{path}: line {line_no}: cannot parse coordinates "
+                        f"{row[0]!r}, {row[1]!r}"
                     )
-                raise ValueError(
-                    f"{path}: line {line_no}: cannot parse coordinates "
-                    f"{row[0]!r}, {row[1]!r}"
-                )
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {end + 1}: {exc}") from None
 
 
 def _fast_rows(path, has_header, third=None, converter=None):
@@ -262,8 +266,9 @@ def _fast_rows(path, has_header, third=None, converter=None):
             if has_header:
                 next(csv.reader(fh), None)
             rows = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, quotechar='"',
-                              ndmin=1, converters={2: converter} if converter else None)
-    except (ValueError, Warning):
+                              ndmin=1, converters={2: converter} if converter else None,
+                              encoding="utf-8")  # str to the converter, not numpy 1's bytes
+    except (ValueError, Warning, csv.Error):  # csv.Error: from the header
         return None
     return rows if np.isfinite(rows["xy"]).all() else None
 
@@ -278,24 +283,21 @@ def load_csv(path, has_header=False):
     """
     raw = defaultdict(count().__next__)  # label -> code as read: a lookup in C a row
     rows = _fast_rows(path, has_header, np.intp, raw.__getitem__)
-    vocab = {}
-    recode = np.array([vocab.setdefault(lab.strip(), len(vocab)) for lab in raw], np.intp)
-    if rows is not None and "" not in vocab:
-        xy, codes = rows["xy"], recode[rows["f"]]
-    else:  # the reference loop raises what the fast read refused, naming the line
-        coords, codes, vocab = array("d"), [], {}
+    if rows is None or not all(map(str.strip, raw)):  # the reference loop names the line
+        raw, coords, codes = defaultdict(count().__next__), array("d"), []
         for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
             if not (math.isfinite(x1) and math.isfinite(x2)):
                 raise ValueError(f"{path}: line {line_no}: coordinates must be finite")
-            label = row[2].strip()
-            if not label:
+            if not row[2].strip():
                 raise ValueError(f"{path}: line {line_no}: empty label")
             coords.extend((x1, x2))
-            codes.append(vocab.setdefault(label, len(vocab)))
-        xy = np.frombuffer(coords).reshape(-1, 2)
+            codes.append(raw[row[2]])
+        rows = {"xy": np.frombuffer(coords).reshape(-1, 2), "f": np.array(codes, np.intp)}
+    vocab = {}  # the stripped labels in order of first appearance
+    recode = np.array([vocab.setdefault(lab.strip(), len(vocab)) for lab in raw], np.intp)
     if len(vocab) < 2:
         raise ValueError(f"{path}: need at least 2 classes, found {len(vocab)}")
-    return Dataset(xy, codes, tuple(vocab))
+    return Dataset(rows["xy"], recode[rows["f"]], tuple(vocab))
 
 
 def write_csv(data, path):

@@ -21,10 +21,14 @@ None there.
 load_model reads a file into a buffer whose end is 8-byte aligned: the
 fields end the file and are whole f64s, so they start aligned, wherever
 the labels leave them. A view of f64s off that boundary is slow to scan.
+The buffer asks malloc for what a bytes object of the file would, so that
+a freed one serves the model bytes save_model builds next, and back; one
+a few bytes short sent each later bytes object to fresh pages.
 """
 
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -114,7 +118,7 @@ def load_model(path):
     """Read a model file back; inverse of save_model, bit-exact."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        raw = np.empty(size + 7, np.uint8)
+        raw = np.empty(size + sys.getsizeof(b""), np.uint8)  # the block bytes of size take
         buf = raw[-(raw.ctypes.data + size) % 8:][:size]  # its end, so the fields, aligned
         buf = buf[:fh.readinto(buf)]
         rest = fh.read()  # bytes past the size stat gave: a pipe, a growing file

@@ -289,6 +289,9 @@ def test_predict_skips_a_numeric_header_and_whitespace_rows(workspace, tmp_path)
     ("0.1,0.2,c0,9", "expected 2 or 3 fields, got 4"),
     (" nan ,0.2,c0", "NaN coordinate"),
     ("0.1,NaN", "NaN coordinate"),
+    pytest.param("0.1,0.2," + "c" * (csv.field_size_limit() + 1),
+                 f"field larger than field limit ({csv.field_size_limit()})",
+                 id="a field over the csv limit"),
 ])
 def test_predict_bad_row_fails_on_its_own_line(workspace, tmp_path, capsys, row, message):
     # a header, a blank line and a whitespace-only row come before it

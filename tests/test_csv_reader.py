@@ -4,7 +4,9 @@ load_csv and fcdm predict read a file with numpy's C reader and fall back
 to the row-by-row csv.reader loop wherever numpy refuses it. Each check
 runs both ways, the second with the fast read patched out, and wants the
 same result: the same coordinates bit for bit, codes and vocabulary, or
-the same error message and exit code.
+the same error message and exit code. One difference is left out of the
+generated text: a field longer than csv.field_size_limit(), which numpy's
+reader takes and the csv.reader loop refuses with a ValueError naming its line.
 """
 
 import contextlib
@@ -72,6 +74,24 @@ def test_numpy_reader_takes_quoted_crlf_files(tmp_path, model):
     with _reference_only():
         assert _predict_outcome(model, path, True) == fast
     assert fast[0] == 0 and len(fast[1].splitlines()) == 5
+
+
+def test_labels_are_str_where_numpy_hands_converters_bytes(tmp_path):
+    # numpy < 2 passes latin-1 bytes to converters unless loadtxt is given an
+    # encoding: numpy's old default is put back, and the fast read must still
+    # be the one that runs and hand back str labels
+    loadtxt = np.loadtxt
+
+    def numpy_1_default(*args, **kwargs):
+        return loadtxt(*args, **{"encoding": "bytes", **kwargs})
+
+    path = tmp_path / "d.csv"
+    path.write_bytes("0.1,0.2,a\n0.3,0.4,é\n0.5,0.6, a \n".encode())
+    with mock.patch.object(np, "loadtxt", numpy_1_default), \
+            mock.patch("fcdm.dataset._csv_rows", side_effect=AssertionError("fell back")):
+        data = load_csv(path)
+    assert data.labels == ("a", "é") and {type(lab) for lab in data.labels} == {str}
+    assert data.codes.tolist() == [0, 1, 0]
 
 
 # Generated CSV text. Most rows parse; a few "spoiler" rows of any shape

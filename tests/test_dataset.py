@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import math
@@ -112,6 +113,9 @@ def test_whitespace_only_rows_are_skipped(tmp_path, blank):
     ("0.3", "line 4: expected 3 fields, got 1"),
     # a quoted label spans lines 4 and 5, so the bad row starts on line 6
     ('0.3,0.4,"a\nb"\n0.5,zz,B', "line 6: cannot parse coordinates '0.5', 'zz'"),
+    pytest.param("0.3,0.4," + "B" * (csv.field_size_limit() + 1),
+                 f"line 4: field larger than field limit ({csv.field_size_limit()})",
+                 id="a field over the csv limit"),
 ])
 def test_bad_rows_keep_their_messages_and_line_numbers(tmp_path, row, message):
     # line 2 is empty and line 3 whitespace: both skipped, both counted
@@ -130,6 +134,14 @@ def test_line_numbers_count_the_lines_of_quoted_fields(tmp_path):
     path = _write(tmp_path, '"x\n1",x2,label\n0.1,0.2,A\nbad,0.4,B\n')
     with pytest.raises(ValueError, match="line 4: cannot parse coordinates 'bad', '0.4'"):
         load_csv(path, has_header=True)
+
+
+def test_a_header_over_the_csv_field_limit_names_line_1(tmp_path):
+    limit = csv.field_size_limit()
+    path = _write(tmp_path, "h" * (limit + 1) + "\n0.1,0.2,A\n0.3,0.4,B\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, has_header=True)
+    assert str(info.value) == f"{path}: line 1: field larger than field limit ({limit})"
 
 
 @pytest.mark.filterwarnings("error")

@@ -227,12 +227,15 @@ def test_a_model_read_from_a_pipe_loads(tmp_path):
     raw = model_to_bytes(_toy_model(seed=3))
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
-    writer = threading.Thread(target=pipe.write_bytes, args=(raw,))
+    # a daemon, joined with a timeout: a load that fails before it opens the
+    # pipe leaves the writer blocked in open(), and the test fails, not hangs
+    writer = threading.Thread(target=pipe.write_bytes, args=(raw,), daemon=True)
     writer.start()
     try:
         back = load_model(pipe)
     finally:
-        writer.join()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
     assert model_to_bytes(back) == raw
 
 
