@@ -1,12 +1,9 @@
 """Command line front end: generate, train, predict, evaluate, render."""
 
 import argparse
+import functools
 import json
-import math
 import sys
-from array import array
-
-import numpy as np
 
 from . import dataset as ds
 from .inference import evaluate, predict_batch
@@ -19,6 +16,7 @@ class UsageError(Exception):
     """Bad flag values; maps to exit code 2 like argparse's own errors."""
 
 
+@functools.cache  # one parser per process: each parse_args fills a fresh namespace
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fcdm",
@@ -106,29 +104,14 @@ def _cmd_train(args):
             print(f"  {d2}")
     print(f"n_final={model.n_final}")
     save_model(model, args.out)
-    print(
-        f"wrote {args.out}: {len(model.labels)} classes, "
-        f"{model.grid.n_mesh}x{model.grid.n_mesh} mesh"
-    )
+    n = model.grid.n_mesh
+    print(f"wrote {args.out}: {len(model.labels)} classes, {n}x{n} mesh")
     return 0
 
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    for third in ("U1", None):  # a one-character third field keeps no labels
-        rows = ds._fast_rows(args.input, args.header, third)
-        if rows is not None:
-            xy = rows["xy"]
-            break
-    else:  # the reference loop, which names the line at fault
-        coords = array("d")  # all read before any output is opened
-        for line_no, x1, x2, _ in ds._csv_rows(args.input, args.header, (2, 3)):
-            if math.isnan(x1) or math.isnan(x2):
-                raise ValueError(f"{args.input}: line {line_no}: NaN coordinate")
-            coords.extend((x1, x2))
-        if not coords:
-            raise ValueError(f"{args.input}: no points found")
-        xy = np.frombuffer(coords).reshape(-1, 2)
+    xy = ds.read_points(args.input, args.header)  # all read before any output is opened
     codes, probs = predict_batch(model, xy)  # infinite points read the boundary pixel
     if args.out == "-":
         ds._write_rows(sys.stdout, xy, model.labels, codes, probs)
@@ -167,11 +150,10 @@ def _cmd_render(args):
     if args.what == "prob":
         if args.class_index is None:
             raise UsageError("--what prob requires --class")
-        if not (0 <= args.class_index < len(model.labels)):
-            raise UsageError(
-                f"--class {args.class_index} out of range [0, {len(model.labels)})"
-            )
-        payload = probability_pgm(model, args.class_index)
+        try:
+            payload = probability_pgm(model, args.class_index)
+        except ValueError as exc:  # the class index rule lives in probability_pgm
+            raise UsageError(str(exc)) from None
     else:
         payload = decision_ppm(model)
     with open(args.out, "wb") as fh:
@@ -181,9 +163,8 @@ def _cmd_render(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

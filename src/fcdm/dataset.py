@@ -258,7 +258,7 @@ def _csv_rows(path, has_header, field_counts):
 def _fast_rows(path, has_header, third=None, converter=None):
     """The rows _csv_rows reads (the file opened alike, csv skipping the header), by numpy's
     C reader: x1, x2 in field "xy" and, if third is a dtype, the third field (through
-    converter if given) in "f". None on any numpy error or warning, or a non-finite x1, x2."""
+    converter if given) in "f". None on any numpy error or warning; coordinates as parsed."""
     fields = [("xy", np.float64, (2,))] + ([("f", third)] if third else [])
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -270,7 +270,7 @@ def _fast_rows(path, has_header, third=None, converter=None):
                               encoding="utf-8")  # str to the converter, not numpy 1's bytes
     except (ValueError, Warning, csv.Error):  # csv.Error: from the header
         return None
-    return rows if np.isfinite(rows["xy"]).all() else None
+    return rows
 
 
 def load_csv(path, has_header=False):
@@ -283,7 +283,8 @@ def load_csv(path, has_header=False):
     """
     raw = defaultdict(count().__next__)  # label -> code as read: a lookup in C a row
     rows = _fast_rows(path, has_header, np.intp, raw.__getitem__)
-    if rows is None or not all(map(str.strip, raw)):  # the reference loop names the line
+    if rows is None or not (np.isfinite(rows["xy"]).all() and all(map(str.strip, raw))):
+        # the reference loop, which names the line at fault
         raw, coords, codes = defaultdict(count().__next__), array("d"), []
         for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
             if not (math.isfinite(x1) and math.isfinite(x2)):
@@ -298,6 +299,24 @@ def load_csv(path, has_header=False):
     if len(vocab) < 2:
         raise ValueError(f"{path}: need at least 2 classes, found {len(vocab)}")
     return Dataset(rows["xy"], recode[rows["f"]], tuple(vocab))
+
+
+def read_points(path, has_header=False):
+    """The (n, 2) coordinates of CSV rows x1,x2[,anything], by load_csv's CSV rules: ±inf
+    is kept; a NaN, a bad row or a file without rows raises ValueError naming it."""
+    rows = _fast_rows(path, has_header, "U1")  # a one-character third field keeps no labels
+    if rows is None:
+        rows = _fast_rows(path, has_header)
+    if rows is not None and not np.isnan(rows["xy"]).any():
+        return rows["xy"]
+    coords = array("d")  # the reference loop, which names the line at fault
+    for line_no, x1, x2, _ in _csv_rows(path, has_header, (2, 3)):
+        if math.isnan(x1) or math.isnan(x2):
+            raise ValueError(f"{path}: line {line_no}: NaN coordinate")
+        coords.extend((x1, x2))
+    if not coords:
+        raise ValueError(f"{path}: no points found")
+    return np.frombuffer(coords).reshape(-1, 2)
 
 
 def write_csv(data, path):

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,6 +332,22 @@ def test_predict_clamps_infinite_coordinates(workspace, tmp_path):
     assert rows[0][2:] == rows[1][2:]
 
 
+@pytest.mark.parametrize("third", ["", ",c1"])
+def test_predict_reads_infinite_coordinates_with_numpy(workspace, tmp_path, third):
+    # +-inf stays on numpy's reader, and its output is the row-by-row reader's
+    text = "".join(row + third + "\n" for row in ("inf,-inf", "1e300,-1e300", "-inf,inf"))
+    (tmp_path / "in.csv").write_text(text)
+    argv = ["predict", "--model", str(workspace["model"]), "--input", str(tmp_path / "in.csv")]
+    with mock.patch("fcdm.dataset._fast_rows", return_value=None):
+        reference = _run(argv)
+    with mock.patch("fcdm.dataset._csv_rows", side_effect=AssertionError("fell back")):
+        fast = _run(argv)
+    assert fast == reference
+    rows = [row.split(",") for row in fast[1].splitlines()]
+    assert [r[:2] for r in rows] == [["inf", "-inf"], ["1e+300", "-1e+300"], ["-inf", "inf"]]
+    assert rows[0][2:] == rows[1][2:]
+
+
 # ------------------------------------------ predict: one batched lookup
 
 # header, a blank line, 2- and 3-column rows, +-inf, far-out and -0.0
@@ -519,20 +536,25 @@ def test_render_decision_ppm(workspace, tmp_path):
     assert len(raw) == len(b"P6\n64 64\n255\n") + 3 * 64 * 64
 
 
-def test_render_prob_requires_class(workspace, tmp_path):
+def test_render_prob_requires_class(workspace, tmp_path, capsys):
     code, _ = _run([
         "render", "--model", str(workspace["model"]), "--what", "prob",
         "--out", str(tmp_path / "x.pgm"),
     ])
     assert code == 2
+    assert capsys.readouterr().err == "error: --what prob requires --class\n"
+    assert not (tmp_path / "x.pgm").exists()
 
 
-def test_render_class_out_of_range(workspace, tmp_path):
+def test_render_class_out_of_range(workspace, tmp_path, capsys):
+    # the range rule and its message are probability_pgm's
     code, _ = _run([
         "render", "--model", str(workspace["model"]), "--what", "prob",
         "--class", "9", "--out", str(tmp_path / "x.pgm"),
     ])
     assert code == 2
+    assert capsys.readouterr().err == "error: class index 9 out of range [0, 3)\n"
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_render_bad_what_flag(workspace, tmp_path):
@@ -577,3 +599,28 @@ def test_help_exits_zero():
 def test_missing_subcommand_is_usage_error():
     code, _ = _run([])
     assert code == 2
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flag(workspace, tmp_path):
+    # predict --header, then evaluate and render without it: each call reads
+    # and does what it would with a parser built for it alone
+    (tmp_path / "pts.csv").write_text("x1,x2\n0.5,0.5\n")
+    model, ppm = str(workspace["model"]), tmp_path / "dec.ppm"
+    calls = [
+        ["predict", "--model", model, "--input", str(tmp_path / "pts.csv"), "--header"],
+        ["evaluate", "--model", model, "--input", str(workspace["csv"])],
+        ["render", "--model", model, "--out", str(ppm)],
+    ]
+    fresh = cli._build_parser.__wrapped__
+    outcomes = []
+    for build in (cli._build_parser, fresh):
+        with mock.patch.object(cli, "_build_parser", build):
+            outcomes.append([_run(argv) for argv in calls] + [ppm.read_bytes()])
+    assert outcomes[0] == outcomes[1]
+    assert [code for code, _ in outcomes[0][:3]] == [0, 0, 0]
+    assert len(outcomes[0][0][1].splitlines()) == 1
+    assert '"n_points":120' in outcomes[0][1][1]
+    parser = cli._build_parser()
+    assert parser is cli._build_parser()
+    for argv in calls:
+        assert vars(parser.parse_args(argv)) == vars(fresh().parse_args(argv))
