@@ -32,20 +32,10 @@ class GridSpec:
 
 @dataclass
 class DensityField:
-    """A real-valued function sampled on a grid, stored row-major (i, j)."""
+    """rasterize_signed's result: its (N, N) float64 raster, row-major (i, j), and the grid."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        n = self.grid.n_mesh
-        if self.values.shape != (n, n):
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid ({n}, {n})"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("field contains non-finite values")
 
 
 def _pixel_rows_cols(xy, grid):

@@ -89,14 +89,15 @@ def _transfer_function(grid, n_iter):
 class PrunedSpectrum:
     """A real field's rfft2 half plane, column-transformed only as far as it is read.
 
-    Construction runs the row rfft. columns(m) is columns 0..m-1, an
-    (N, m) view; the column fft runs in place only on those not computed
-    yet. keep(n_iter) frees the columns smoothing at n_iter does not read.
+    values, a finite (N, N) float64 array on grid, is not checked: a signed
+    raster is one by construction. Construction runs the row rfft. columns(m)
+    is columns 0..m-1, an (N, m) view; the column fft runs in place only on
+    those not computed yet. keep(n_iter) frees the columns step n_iter does not read.
     """
 
-    def __init__(self, density):
-        self.grid = density.grid
-        self._buf = np.fft.rfft(density.values, axis=1)
+    def __init__(self, values, grid):
+        self.grid = grid
+        self._buf = np.fft.rfft(values, axis=1)
         self.width = 0
 
     def columns(self, m):

@@ -164,12 +164,11 @@ def stopping_rule(correlations, epsilon, n_max):
 
 
 def find_optimal_iteration(spectrum, epsilon, n_max):
-    """Run stopping_rule on a raster's correlation curve.
+    """Run stopping_rule on a raster's correlation curve; returns the ConvergenceTrace.
 
-    spectrum is PrunedSpectrum(raster). c(n) is the Pearson correlation of
-    the raster smoothed at steps n and n - 1, computed from the spectrum
-    by Parseval's theorem (consecutive_correlations), with no inverse
-    transform. Returns the ConvergenceTrace.
+    spectrum is PrunedSpectrum(raster, grid). c(n), the Pearson correlation
+    of the raster smoothed at steps n and n - 1, comes from it by Parseval's
+    theorem (consecutive_correlations), with no inverse transform.
     """
     return stopping_rule(consecutive_correlations(spectrum), epsilon, n_max)
 
@@ -219,7 +218,8 @@ def train(data, config=None):
     scaler = fit_scaler(data)
     normalized = normalize_dataset(data, scaler)
     grid = GridSpec(n_mesh=config.n_mesh)
-    spectra = [PrunedSpectrum(rasterize_signed(normalized, lab, grid)) for lab in data.labels]
+    spectra = [PrunedSpectrum(rasterize_signed(normalized, lab, grid).values, grid)
+               for lab in data.labels]
     traces = [find_optimal_iteration(s, config.epsilon, config.n_max) for s in spectra]
     n_final = max(t.n_k for t in traces)
     for s in spectra:

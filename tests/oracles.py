@@ -22,30 +22,29 @@ from fcdm.render import class_palette
 from fcdm.spectral import PrunedSpectrum, _transfer_axis, smooth_density
 
 
-def smooth(field, n_iter):
-    """smooth_density applied to a DensityField through its own spectrum; an array."""
-    return smooth_density(PrunedSpectrum(field), n_iter)
+def smooth(values, grid, n_iter):
+    """smooth_density applied to an (N, N) array through its own spectrum; an array."""
+    return smooth_density(PrunedSpectrum(values, grid), n_iter)
 
 
-def half_plane(field):
-    """PrunedSpectrum(field) extended to its full width, columns 0..N/2."""
-    return PrunedSpectrum(field).columns(field.grid.n_mesh // 2 + 1)
+def half_plane(values, grid):
+    """PrunedSpectrum(values, grid) extended to its full width, columns 0..N/2."""
+    return PrunedSpectrum(values, grid).columns(grid.n_mesh // 2 + 1)
 
 
-def full_plane_smooth(field, n_iter):
+def full_plane_smooth(values, grid, n_iter):
     """smooth_density's values as one rfft2, the transfer function on every
     half-plane column (its zeros included) and one irfft2."""
-    n = field.grid.n_mesh
-    axis = _transfer_axis(field.grid, n_iter)
-    st = int(n_iter) / field.grid.domain_width
+    n = grid.n_mesh
+    axis = _transfer_axis(grid, n_iter)
+    st = int(n_iter) / grid.domain_width
     transfer = np.outer(axis, axis[: n // 2 + 1]) / (2.0 * np.pi * st * st)
-    return np.fft.irfft2(np.fft.rfft2(field.values) * transfer, s=(n, n))
+    return np.fft.irfft2(np.fft.rfft2(values) * transfer, s=(n, n))
 
 
-def full_plane_correlations(field):
+def full_plane_correlations(values, grid):
     """consecutive_correlations on the full rfft2 half plane, every power column at once."""
-    grid = field.grid
-    s = np.fft.rfft2(field.values)
+    s = np.fft.rfft2(values)
     half = s.shape[1]
     power = s.real * s.real + s.imag * s.imag
     power[:, 1 : half - 1] *= 2.0

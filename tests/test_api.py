@@ -3,7 +3,7 @@
 import numpy as np
 
 import fcdm
-from fcdm.grid import DensityField, GridSpec
+from fcdm.grid import GridSpec
 from fcdm.spectral import PrunedSpectrum, smooth_density
 from fcdm.trainer import find_optimal_iteration
 
@@ -37,7 +37,7 @@ def test_exported_transform_path_composes():
     # result, so the pipeline composes from its public modules
     grid = GridSpec(16)
     values = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=(16, 16))
-    spectrum = PrunedSpectrum(DensityField(grid=grid, values=values))
+    spectrum = PrunedSpectrum(values, grid)
     assert smooth_density(spectrum, 2).shape == (16, 16)
     trace = find_optimal_iteration(spectrum, 0.01, 8)
     assert 3 <= trace.n_k <= 8

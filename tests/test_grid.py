@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fcdm.dataset import Dataset
-from fcdm.grid import DensityField, GridSpec, _pixel_rows_cols, rasterize_signed
+from fcdm.grid import GridSpec, _pixel_rows_cols, rasterize_signed
 
 
 def test_gridspec_accepts_powers_of_two():
@@ -172,6 +172,11 @@ def test_rasterize_values_are_signed_indicators(columns):
     grid = GridSpec(16)
     for target, lab in enumerate(data.labels):
         field = rasterize_signed(data, lab, grid)
+        # the contract PrunedSpectrum relies on without checking it
+        assert field.grid == grid
+        assert field.values.shape == (16, 16)
+        assert field.values.dtype == np.float64
+        assert field.values.flags.c_contiguous
         # reference, point by point: every other-class pixel reads -1, then
         # every target pixel +1, so a shared pixel goes to the target class
         expected = np.zeros((16, 16))
@@ -180,15 +185,3 @@ def test_rasterize_values_are_signed_indicators(columns):
                 if (code == target) == is_target:
                     expected[_pixel((x1, x2), grid)] = 1.0 if is_target else -1.0
         assert field.values.tobytes() == expected.tobytes()
-
-
-def test_density_field_shape_checked():
-    with pytest.raises(ValueError, match="shape"):
-        DensityField(grid=GridSpec(8), values=np.zeros((4, 4)))
-
-
-def test_density_field_rejects_non_finite():
-    values = np.zeros((8, 8))
-    values[1, 1] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        DensityField(grid=GridSpec(8), values=values)

@@ -11,7 +11,7 @@ import pytest
 
 import fcdm.spectral
 from fcdm.dataset import FeatureScaler, generate_spirals
-from fcdm.grid import DensityField, GridSpec
+from fcdm.grid import GridSpec
 from fcdm.model_io import model_to_bytes
 from fcdm.render import class_palette, decision_ppm
 from fcdm.spectral import PrunedSpectrum, row_tiles, smooth_density
@@ -199,13 +199,13 @@ def test_tiled_decision_map_matches_the_whole_plane(monkeypatch, k, n):
 def test_tiled_smoothing_fills_the_given_array_bit_for_bit(monkeypatch, n):
     rng = np.random.default_rng(n)
     values = np.where(rng.random((n, n)) < 0.2, np.where(rng.random((n, n)) < 0.5, -1.0, 1.0), 0.0)
-    raster = DensityField(grid=GridSpec(n), values=values)
-    spectrum = PrunedSpectrum(raster)
+    grid = GridSpec(n)
+    spectrum = PrunedSpectrum(values, grid)
     out = np.full((n, n), np.nan)
     _five_row_tiles(monkeypatch, out)
     for n_iter in (1, 2, 3):
         assert smooth_density(spectrum, n_iter, out) is out
-        assert out.tobytes() == full_plane_smooth(raster, n_iter).tobytes()
+        assert out.tobytes() == full_plane_smooth(values, grid, n_iter).tobytes()
         assert smooth_density(spectrum, n_iter).tobytes() == out.tobytes()
 
 

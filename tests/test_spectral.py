@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import fcdm.spectral
 from fcdm.dataset import generate_spirals, fit_scaler, normalize_dataset
-from fcdm.grid import DensityField, GridSpec, rasterize_signed
+from fcdm.grid import GridSpec, rasterize_signed
 from fcdm.spectral import (
     PrunedSpectrum,
     _support,
@@ -39,9 +39,7 @@ def naive_dft2(a):
 
 def _random_field(grid, seed, low=-1.0, high=1.0):
     rng = np.random.default_rng(seed)
-    return DensityField(
-        grid=grid, values=rng.uniform(low, high, size=(grid.n_mesh, grid.n_mesh))
-    )
+    return rng.uniform(low, high, size=(grid.n_mesh, grid.n_mesh))
 
 
 # ------------------------------------------------------ rfft2 / irfft2
@@ -49,14 +47,14 @@ def _random_field(grid, seed, low=-1.0, high=1.0):
 def test_half_spectrum_matches_naive_definition():
     grid = GridSpec(8)
     field = _random_field(grid, 123)
-    expected = naive_dft2(field.values)[:, :5]
-    got = half_plane(field)
+    expected = naive_dft2(field)[:, :5]
+    got = half_plane(field, grid)
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_zero_field_has_zero_spectrum():
     grid = GridSpec(8)
-    spectrum = half_plane(DensityField(grid=grid, values=np.zeros((8, 8))))
+    spectrum = half_plane(np.zeros((8, 8)), grid)
     assert np.all(spectrum == 0)
 
 
@@ -64,7 +62,7 @@ def test_impulse_at_origin_has_flat_spectrum():
     grid = GridSpec(8)
     values = np.zeros((8, 8))
     values[0, 0] = 1.0
-    spectrum = half_plane(DensityField(grid=grid, values=values))
+    spectrum = half_plane(values, grid)
     assert spectrum.shape == (8, 5)
     assert np.abs(spectrum - 1.0).max() <= 1e-13
 
@@ -81,7 +79,7 @@ def test_round_trip_on_signed_raster():
     grid = GridSpec(16)
     rng = np.random.default_rng(7)
     values = rng.choice([-1.0, 0.0, 1.0], size=(16, 16))
-    back = np.fft.irfft2(half_plane(DensityField(grid=grid, values=values)), s=(16, 16))
+    back = np.fft.irfft2(half_plane(values, grid), s=(16, 16))
     assert np.abs(back - values).max() <= 1e-12
 
 
@@ -91,9 +89,9 @@ def test_parseval(seed):
     # on the half plane columns 1..N/2-1 also stand for their mirrors
     grid = GridSpec(16)
     field = _random_field(grid, seed)
-    power = np.abs(half_plane(field)) ** 2
+    power = np.abs(half_plane(field, grid)) ** 2
     power[:, 1:8] *= 2.0
-    spatial = float((field.values**2).sum())
+    spatial = float((field**2).sum())
     spectral = float(power.sum()) / grid.n_mesh**2
     assert abs(spatial - spectral) <= 1e-10 * max(spatial, 1.0)
 
@@ -195,24 +193,23 @@ def test_filter_decreases_with_frequency():
 
 def test_smooth_zero_raster_is_zero():
     grid = GridSpec(32)
-    out = smooth(DensityField(grid=grid, values=np.zeros((32, 32))), 3)
+    out = smooth(np.zeros((32, 32)), grid, 3)
     assert out.shape == (32, 32) and out.dtype == np.float64
     assert np.abs(out).max() <= 1e-15
 
 
 def test_smooth_rejects_bad_iteration():
     grid = GridSpec(8)
-    field = DensityField(grid=grid, values=np.zeros((8, 8)))
     for bad in (0, -1, 1.5):
         with pytest.raises(ValueError):
-            smooth(field, bad)
+            smooth(np.zeros((8, 8)), grid, bad)
 
 
 def test_center_impulse_matches_gaussian_bump():
     grid = GridSpec(64)
     values = np.zeros((64, 64))
     values[32, 32] = 1.0
-    out = smooth(DensityField(grid=grid, values=values), 2)
+    out = smooth(values, grid, 2)
     direct = smooth_density_direct([((32, 32), 1.0)], 2, grid)
     bound = 1e-4 * np.abs(direct).max()
     assert np.abs(out - direct).max() <= bound
@@ -233,7 +230,7 @@ def test_single_impulse_matches_direct_route(n_mesh, n_iter):
     grid = GridSpec(n_mesh)
     values = np.zeros((n_mesh, n_mesh))
     values[0, 0] = 1.0
-    out = smooth(DensityField(grid=grid, values=values), n_iter)
+    out = smooth(values, grid, n_iter)
     direct = smooth_density_direct([((0, 0), 1.0)], n_iter, grid)
     bound = 1e-4 * np.abs(direct).max()
     assert np.abs(out - direct).max() <= bound
@@ -250,9 +247,8 @@ def test_twenty_random_impulses_match_direct_route():
     values = np.zeros((64, 64))
     for (i, j), s in impulses:
         values[i, j] = s
-    raster = DensityField(grid=grid, values=values)
     for n in (1, 2, 3, 4):
-        fft_route = smooth(raster, n)
+        fft_route = smooth(values, grid, n)
         direct = smooth_density_direct(impulses, n, grid)
         bound = 1e-4 * np.abs(direct).max()
         assert np.abs(fft_route - direct).max() <= bound
@@ -277,7 +273,7 @@ def test_uneven_transfer_function_rejected(monkeypatch, cold_transfer_caches):
 
     monkeypatch.setattr(fcdm.spectral, "_aliased_gaussian", uneven)
     grid = GridSpec(16)
-    spectrum = PrunedSpectrum(_random_field(grid, 3))
+    spectrum = PrunedSpectrum(_random_field(grid, 3), grid)
     with pytest.raises(ValueError, match="even"):
         smooth_density(spectrum, 2)
     with pytest.raises(ValueError, match="even"):
@@ -291,9 +287,8 @@ def test_smoothing_is_linear(seed, n_iter):
     grid = GridSpec(16)
     a = _random_field(grid, seed)
     b = _random_field(grid, seed + 1)
-    combined = DensityField(grid=grid, values=a.values + b.values)
-    lhs = smooth(combined, n_iter)
-    rhs = smooth(a, n_iter) + smooth(b, n_iter)
+    lhs = smooth(a + b, grid, n_iter)
+    rhs = smooth(a, grid, n_iter) + smooth(b, grid, n_iter)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -306,9 +301,8 @@ def test_smoothing_commutes_with_cyclic_shifts(di, dj):
     grid = GridSpec(16)
     field = _random_field(grid, 99)
     n_iter = 2
-    smoothed = smooth(field, n_iter)
-    shifted_in = DensityField(grid=grid, values=np.roll(field.values, (di, dj), (0, 1)))
-    lhs = smooth(shifted_in, n_iter)
+    smoothed = smooth(field, grid, n_iter)
+    lhs = smooth(np.roll(field, (di, dj), (0, 1)), grid, n_iter)
     rhs = np.roll(smoothed, (di, dj), (0, 1))
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(smoothed).max())
 
@@ -319,9 +313,9 @@ def test_correlation_with_raster_grows_with_bandwidth():
     data = generate_spirals(3, 400, [0.01, 0.015, 0.02], 1.75, 42)
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(64)
-    raster = rasterize_signed(normalized, "c0", grid)
+    raster = rasterize_signed(normalized, "c0", grid).values
     corrs = [
-        pearson_correlation(smooth(raster, n), raster.values)
+        pearson_correlation(smooth(raster, grid, n), raster)
         for n in range(1, 9)
     ]
     assert all(b >= a for a, b in zip(corrs, corrs[1:]))
@@ -336,19 +330,20 @@ def _sparse_raster(mesh, seed, fill):
     occupied = rng.random((mesh, mesh)) < fill
     occupied.flat[rng.integers(mesh * mesh)] = True
     signs = np.where(rng.random((mesh, mesh)) < 0.5, -1.0, 1.0)
-    return DensityField(grid=GridSpec(mesh), values=np.where(occupied, signs, 0.0))
+    return np.where(occupied, signs, 0.0)
 
 
 def _assert_bit_identical(raster, epsilon, n_max):
     """Search, smoothing and spectrum of the pruned path against the full plane."""
-    spectrum = PrunedSpectrum(raster)
+    grid = GridSpec(len(raster))
+    spectrum = PrunedSpectrum(raster, grid)
     trace = find_optimal_iteration(spectrum, epsilon, n_max)
-    assert trace == stopping_rule(full_plane_correlations(raster), epsilon, n_max)
+    assert trace == stopping_rule(full_plane_correlations(raster, grid), epsilon, n_max)
     for n in sorted({1, trace.n_k, trace.n_k + 1, n_max}):
         pruned = smooth_density(spectrum, n)
-        assert pruned.tobytes() == full_plane_smooth(raster, n).tobytes()
-    full = spectrum.columns(raster.grid.n_mesh // 2 + 1)
-    assert full.tobytes() == np.fft.rfft2(raster.values).tobytes()
+        assert pruned.tobytes() == full_plane_smooth(raster, grid, n).tobytes()
+    full = spectrum.columns(grid.n_mesh // 2 + 1)
+    assert full.tobytes() == np.fft.rfft2(raster).tobytes()
     return spectrum, trace
 
 
@@ -365,16 +360,16 @@ def test_pruned_path_is_bit_identical_to_full_plane(mesh, seed, fill, epsilon):
 
 
 def test_raster_with_empty_rows_is_bit_identical():
-    raster = DensityField(grid=GridSpec(64), values=np.zeros((64, 64)))
-    raster.values[3, [5, 60]] = (1.0, -1.0)
-    raster.values[40, 17] = 1.0
+    raster = np.zeros((64, 64))
+    raster[3, [5, 60]] = (1.0, -1.0)
+    raster[40, 17] = 1.0
     _assert_bit_identical(raster, 0.01, 8)
 
 
 def test_fully_occupied_raster_is_bit_identical():
     rng = np.random.default_rng(5)
     values = np.where(rng.random((128, 128)) < 0.5, -1.0, 1.0)
-    _assert_bit_identical(DensityField(grid=GridSpec(128), values=values), 0.01, 16)
+    _assert_bit_identical(values, 0.01, 16)
 
 
 def test_capped_search_grows_to_the_full_half_plane(monkeypatch):
@@ -398,15 +393,16 @@ def test_capped_search_grows_to_the_full_half_plane(monkeypatch):
 
 
 def test_keep_frees_columns_past_the_support():
+    grid = GridSpec(1024)
     raster = _sparse_raster(1024, 3, 0.001)
-    spectrum = PrunedSpectrum(raster)
+    spectrum = PrunedSpectrum(raster, grid)
     n_k = find_optimal_iteration(spectrum, 0.01, 128).n_k
-    assert spectrum.width == _support(_transfer_axis(raster.grid, n_k + 1))
+    assert spectrum.width == _support(_transfer_axis(grid, n_k + 1))
     spectrum.keep(n_k)
-    width = _support(_transfer_axis(raster.grid, n_k))
+    width = _support(_transfer_axis(grid, n_k))
     assert spectrum.width == width
     assert spectrum.columns(width).flags.c_contiguous
-    expected = full_plane_smooth(raster, n_k)
+    expected = full_plane_smooth(raster, grid, n_k)
     assert smooth_density(spectrum, n_k).tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match=f"keeps {width} columns"):
         smooth_density(spectrum, n_k + 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import fcdm.spectral
 import fcdm.trainer
 from fcdm.dataset import Dataset, generate_spirals, split
-from fcdm.grid import DensityField, GridSpec
+from fcdm.grid import GridSpec
 from fcdm.model_io import model_to_bytes
 from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis, row_tiles
 from fcdm.trainer import (
@@ -188,8 +188,8 @@ def test_threshold_never_met_returns_cap_with_flag():
 
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(32)
-    raster = rasterize_signed(normalized, "c0", grid)
-    trace = find_optimal_iteration(PrunedSpectrum(raster), 1e-12, 6)
+    raster = rasterize_signed(normalized, "c0", grid).values
+    trace = find_optimal_iteration(PrunedSpectrum(raster, grid), 1e-12, 6)
     assert trace.n_k == 6
     assert not trace.converged
     # searched every center 3..5: c(2)..c(6) plus three second differences
@@ -200,7 +200,7 @@ def test_threshold_never_met_returns_cap_with_flag():
 
 def test_search_validates_arguments():
     grid = GridSpec(8)
-    spectrum = PrunedSpectrum(DensityField(grid=grid, values=np.eye(8)))
+    spectrum = PrunedSpectrum(np.eye(8), grid)
     with pytest.raises(ValueError):
         find_optimal_iteration(spectrum, 0.0, 8)
     with pytest.raises(ValueError):
@@ -214,8 +214,8 @@ def test_trace_index_helpers():
 
     normalized = normalize_dataset(data, fit_scaler(data))
     grid = GridSpec(64)
-    raster = rasterize_signed(normalized, "c1", grid)
-    trace = find_optimal_iteration(PrunedSpectrum(raster), 0.01, 8)
+    raster = rasterize_signed(normalized, "c1", grid).values
+    trace = find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, 8)
     n_k = trace.n_k
     if trace.converged:
         assert 3 <= n_k <= 8
@@ -225,16 +225,16 @@ def test_trace_index_helpers():
             assert abs(trace.second_derivatives[earlier - 3]) >= 0.01
 
 
-def _spatial_search(raster, epsilon, n_max):
+def _spatial_search(raster, grid, epsilon, n_max):
     """The search as it ran before the spectral route: smooth every step
     and correlate consecutive fields in the pixel domain. Kept as the
     reference the spectral search must reproduce."""
-    prev = smooth(raster, 1)
-    cur = smooth(raster, 2)
+    prev = smooth(raster, grid, 1)
+    cur = smooth(raster, grid, 2)
     corr = [pearson_correlation(cur, prev)]
     d2s = []
     for n in range(3, n_max + 1):
-        prev, cur = cur, smooth(raster, n)
+        prev, cur = cur, smooth(raster, grid, n)
         corr.append(pearson_correlation(cur, prev))
         if len(corr) < 3:
             continue
@@ -258,10 +258,10 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
     occupied = rng.random((mesh, mesh)) < fill
     occupied.flat[rng.integers(mesh * mesh)] = True
     signs = np.where(rng.random((mesh, mesh)) < 0.5, -1.0, 1.0)
-    raster = DensityField(grid=grid, values=np.where(occupied, signs, 0.0))
+    raster = np.where(occupied, signs, 0.0)
     n_max = max(4, mesh // 8)
-    n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, epsilon, n_max)
-    trace = find_optimal_iteration(PrunedSpectrum(raster), epsilon, n_max)
+    n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, grid, epsilon, n_max)
+    trace = find_optimal_iteration(PrunedSpectrum(raster, grid), epsilon, n_max)
     assert trace.n_k == n_ref
     assert trace.converged == conv_ref
     assert len(trace.correlations) == len(corr_ref)
@@ -272,11 +272,24 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
 @pytest.mark.parametrize("mesh", [8, 32, 128])
 def test_constant_raster_rejected_by_both_searches(mesh):
     grid = GridSpec(mesh)
-    raster = DensityField(grid=grid, values=np.ones((mesh, mesh)))
+    raster = np.ones((mesh, mesh))
     with pytest.raises(ValueError, match="constant"):
-        _spatial_search(raster, 0.01, 4)
+        _spatial_search(raster, grid, 0.01, 4)
     with pytest.raises(ValueError, match="constant"):
-        find_optimal_iteration(PrunedSpectrum(raster), 0.01, 4)
+        find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, 4)
+
+
+@pytest.mark.parametrize("mesh", [64, 128, 256, 1024])
+def test_one_pixel_raster_stops_at_five(mesh):
+    # a raster holding no data: one nonzero pixel has a flat power
+    # spectrum, so the filter family alone sets where the rule stops
+    grid = GridSpec(mesh)
+    for pixel in [(0, 0), (mesh // 3, mesh // 2 + 5), (mesh - 1, 7)]:
+        for sign in (1.0, -1.0):
+            raster = np.zeros((mesh, mesh))
+            raster[pixel] = sign
+            trace = find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, mesh // 8)
+            assert (trace.n_k, trace.converged) == (5, True), (pixel, sign)
 
 
 # ---------------------------------------------------- build_probabilities
