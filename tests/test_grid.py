@@ -172,11 +172,6 @@ def test_rasterize_values_are_signed_indicators(columns):
     grid = GridSpec(16)
     for target, lab in enumerate(data.labels):
         field = rasterize_signed(data, lab, grid)
-        # the contract PrunedSpectrum relies on without checking it
-        assert field.grid == grid
-        assert field.values.shape == (16, 16)
-        assert field.values.dtype == np.float64
-        assert field.values.flags.c_contiguous
         # reference, point by point: every other-class pixel reads -1, then
         # every target pixel +1, so a shared pixel goes to the target class
         expected = np.zeros((16, 16))
@@ -185,3 +180,29 @@ def test_rasterize_values_are_signed_indicators(columns):
                 if (code == target) == is_target:
                     expected[_pixel((x1, x2), grid)] = 1.0 if is_target else -1.0
         assert field.values.tobytes() == expected.tobytes()
+
+
+# the contract PrunedSpectrum relies on without checking it: an (N, N) float64
+# C-contiguous raster on the grid it was asked for, with only finite values
+def test_rasterize_raster_has_grid_shape():
+    data = Dataset(coords=[(0.1, 0.2), (0.9, 0.7)], codes=[0, 1], labels=("A", "B"))
+    for n_mesh in (8, 64, 512):
+        grid = GridSpec(n_mesh)
+        field = rasterize_signed(data, "A", grid)
+        assert field.grid == grid
+        assert field.values.shape == (n_mesh, n_mesh)
+        assert field.values.dtype == np.float64
+        assert field.values.flags.c_contiguous
+
+
+def test_rasterize_raster_is_finite_for_far_out_points():
+    # huge coordinates of either sign read the edge pixels, never a non-finite value
+    coords = [(1e308, -1e308), (1e308, 0.5), (-1e308, 1e308), (0.5, 0.5)]
+    data = Dataset(coords=coords, codes=[0, 1, 0, 1], labels=("A", "B"))
+    field = rasterize_signed(data, "A", GridSpec(8))
+    assert np.isfinite(field.values).all()
+    assert set(np.unique(field.values)) <= {-1.0, 0.0, 1.0}
+    assert field.values[0, 7] == 1.0   # (1e308, -1e308): column 7 from x1, row 0 from x2
+    assert field.values[7, 0] == 1.0   # (-1e308, 1e308)
+    assert field.values[4, 7] == -1.0  # (1e308, 0.5)
+    assert field.values[4, 4] == -1.0  # (0.5, 0.5)
