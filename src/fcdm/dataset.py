@@ -283,8 +283,9 @@ def load_csv(path, has_header=False):
     """
     raw = defaultdict(count().__next__)  # label -> code as read: a lookup in C a row
     rows = _fast_rows(path, has_header, np.intp, raw.__getitem__)
-    if rows is None or not (np.isfinite(rows["xy"]).all() and all(map(str.strip, raw))):
-        # the reference loop, which names the line at fault
+    if rows is None or not (np.isfinite(rows["xy"]).all() and all(map(str.strip, raw))
+                            and max(map(len, raw), default=0) <= csv.field_size_limit()):
+        # the reference loop, which names the line at fault (and refuses a label over csv's limit)
         raw, coords, codes = defaultdict(count().__next__), array("d"), []
         for line_no, x1, x2, row in _csv_rows(path, has_header, (3,)):
             if not (math.isfinite(x1) and math.isfinite(x2)):

@@ -55,15 +55,16 @@ def _aliased_gaussian(grid, sigma_tilde):
 
 @functools.lru_cache(maxsize=64)
 def _transfer_axis(grid, n_iter):
-    """One axis of smooth_density's transfer function at step n_iter, read-only.
+    """(axis, m): one axis of smooth_density's transfer function at step n_iter, its support m.
 
-    The aliased Gaussian sum at sigma_tilde = n_iter / L, in wrapped
-    order and without the 1 / (2 pi sigma_tilde^2) factor. The half-plane
-    transforms below take the transfer function to be even, T(-f) = T(f):
-    that is what makes the smoothed field real and lets one half-plane
-    column stand for its mirror. Pairing the alias copies keeps it exactly
-    even, and that is checked here bit for bit. Memoised, N floats each:
-    rebuilding them per class adds ~2 ms to a ~13 ms mesh-256, 45k-point train().
+    axis is the aliased Gaussian sum at sigma_tilde = n_iter / L, read-only,
+    in wrapped order and without the 1 / (2 pi sigma_tilde^2) factor; its
+    half-plane columns m..N/2 are exactly zero. The half-plane transforms
+    below take the transfer function to be even, T(-f) = T(f): that is what
+    makes the smoothed field real and lets one half-plane column stand for
+    its mirror. Pairing the alias copies keeps it exactly even, and that is
+    checked here bit for bit. Memoised, N floats each: rebuilding them per
+    class adds ~2 ms to a ~13 ms mesh-256, 45k-point train().
     """
     if n_iter != int(n_iter) or int(n_iter) < 1:
         raise ValueError(f"iteration number must be a positive integer, got {n_iter}")
@@ -71,19 +72,7 @@ def _transfer_axis(grid, n_iter):
     if not np.array_equal(axis[1:], axis[:0:-1]):
         raise ValueError("transfer function is not even; the smoothed field would not be real")
     axis.flags.writeable = False
-    return axis
-
-
-def _support(axis):
-    """m such that half-plane columns m..N/2 of a transfer axis are exactly zero."""
-    return int(np.flatnonzero(axis[: len(axis) // 2 + 1])[-1]) + 1
-
-
-def _transfer_function(grid, n_iter):
-    """A new (N, m) array, m = _support: smooth_density's transfer function at step n_iter."""
-    axis = _transfer_axis(grid, n_iter)
-    st = int(n_iter) / grid.domain_width
-    return np.outer(axis, axis[: _support(axis)]) / (2.0 * np.pi * st * st)
+    return axis, int(np.flatnonzero(axis[: grid.n_mesh // 2 + 1])[-1]) + 1
 
 
 class PrunedSpectrum:
@@ -110,7 +99,7 @@ class PrunedSpectrum:
         return self._buf[:, :m]
 
     def keep(self, n_iter):
-        m = _support(_transfer_axis(self.grid, n_iter))
+        m = _transfer_axis(self.grid, n_iter)[1]
         self._buf = np.ascontiguousarray(self.columns(m))  # copies unless m is the full width
         self.width = m
 
@@ -131,9 +120,11 @@ def smooth_density(spectrum, n_iter, out=None):
     fills out, an (N, N) array (new when None), a row tile at a time; returns out.
     """
     grid = spectrum.grid
-    m = _support(_transfer_axis(grid, n_iter))
-    # the transfer function is built per call and freed before the inverse transforms
-    filtered = np.fft.ifft(spectrum.columns(m) * _transfer_function(grid, n_iter), axis=0)
+    axis, m = _transfer_axis(grid, n_iter)
+    st = int(n_iter) / grid.domain_width
+    # the (N, m) transfer block is a temporary, freed before the inverse transforms
+    filtered = spectrum.columns(m) * (np.outer(axis, axis[:m]) / (2.0 * np.pi * st * st))
+    filtered = np.fft.ifft(filtered, axis=0)
     out = np.empty((grid.n_mesh,) * 2) if out is None else out
     for rows in row_tiles(out):
         out[rows] = np.fft.irfft(filtered[rows], n=grid.n_mesh, axis=1)
@@ -152,35 +143,34 @@ def consecutive_correlations(spectrum):
     constant factors cancel, and T = a (x) a is separable, so every sum is
     a quadratic form u @ P[:, :m] @ u[:m] over the step's support m; P is
     filled in only for the columns a step adds. Values are clipped into
-    [-1, 1]; a field with no variance raises ValueError. The sequence is
-    endless; the caller stops reading it.
+    [-1, 1]. Two fields with no variance are the same constant, c(n) = 1;
+    one such field next to one with variance raises ValueError. The
+    sequence is endless; the caller stops reading it.
     """
     grid = spectrum.grid
     power = np.empty((grid.n_mesh, grid.n_mesh // 2 + 1))
     done = 0
 
-    def grow(axis):
+    def energy(u, m):
         nonlocal done
-        m = _support(axis)
         if m > done:
             s = spectrum.columns(m)[:, done:m]
             power[:, done:m] = s.real * s.real + s.imag * s.imag
             power[:, max(done, 1) : min(m, power.shape[1] - 1)] *= 2.0
             power[0, 0] = 0.0
             done = m
-        return m
-
-    def energy(u, m):
         return float(u @ power[:, :m] @ u[:m])
 
-    prev = _transfer_axis(grid, 1)
-    prev_energy = energy(prev * prev, grow(prev))
+    prev, m = _transfer_axis(grid, 1)
+    prev_energy = energy(prev * prev, m)
     for n in itertools.count(2):
-        axis = _transfer_axis(grid, n)
-        m = grow(axis)
+        axis, m = _transfer_axis(grid, n)
         cur_energy = energy(axis * axis, m)
-        if cur_energy == 0.0 or prev_energy == 0.0:
+        if cur_energy == 0.0 and prev_energy == 0.0:
+            yield 1.0  # both fields are the same constant
+        elif cur_energy == 0.0 or prev_energy == 0.0:
             raise ValueError("correlation undefined for a constant field")
-        r = energy(axis * prev, m) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
-        yield min(max(float(r), -1.0), 1.0)
+        else:
+            r = energy(axis * prev, m) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
+            yield min(max(float(r), -1.0), 1.0)
         prev, prev_energy = axis, cur_energy

@@ -32,14 +32,18 @@ def half_plane(values, grid):
     return PrunedSpectrum(values, grid).columns(grid.n_mesh // 2 + 1)
 
 
-def full_plane_smooth(values, grid, n_iter):
-    """smooth_density's values as one rfft2, the transfer function on every
-    half-plane column (its zeros included) and one irfft2."""
-    n = grid.n_mesh
-    axis = _transfer_axis(grid, n_iter)
+def full_plane_transfer(grid, n_iter):
+    """smooth_density's transfer function at step n_iter on every half-plane
+    column, its zeros included: a new (N, N/2 + 1) array."""
+    axis = _transfer_axis(grid, n_iter)[0]
     st = int(n_iter) / grid.domain_width
-    transfer = np.outer(axis, axis[: n // 2 + 1]) / (2.0 * np.pi * st * st)
-    return np.fft.irfft2(np.fft.rfft2(values) * transfer, s=(n, n))
+    return np.outer(axis, axis[: grid.n_mesh // 2 + 1]) / (2.0 * np.pi * st * st)
+
+
+def full_plane_smooth(values, grid, n_iter):
+    """smooth_density's values as one rfft2, full_plane_transfer and one irfft2."""
+    n = grid.n_mesh
+    return np.fft.irfft2(np.fft.rfft2(values) * full_plane_transfer(grid, n_iter), s=(n, n))
 
 
 def full_plane_correlations(values, grid):
@@ -53,15 +57,18 @@ def full_plane_correlations(values, grid):
     def energy(u):
         return float(u @ power @ u[:half])
 
-    prev = _transfer_axis(grid, 1)
+    prev = _transfer_axis(grid, 1)[0]
     prev_energy = energy(prev * prev)
     for n in itertools.count(2):
-        axis = _transfer_axis(grid, n)
+        axis = _transfer_axis(grid, n)[0]
         cur_energy = energy(axis * axis)
-        if cur_energy == 0.0 or prev_energy == 0.0:
+        if cur_energy == 0.0 and prev_energy == 0.0:
+            yield 1.0  # both fields are the same constant
+        elif cur_energy == 0.0 or prev_energy == 0.0:
             raise ValueError("correlation undefined for a constant field")
-        r = energy(axis * prev) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
-        yield min(max(float(r), -1.0), 1.0)
+        else:
+            r = energy(axis * prev) / (np.sqrt(cur_energy) * np.sqrt(prev_energy))
+            yield min(max(float(r), -1.0), 1.0)
         prev, prev_energy = axis, cur_energy
 
 

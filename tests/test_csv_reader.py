@@ -6,7 +6,8 @@ runs both ways, the second with the fast read patched out, and wants the
 same result: the same coordinates bit for bit, codes and vocabulary, or
 the same error message and exit code. One difference is left out of the
 generated text: a field longer than csv.field_size_limit(), which numpy's
-reader takes and the csv.reader loop refuses with a ValueError naming its line.
+reader takes for fcdm predict and the csv.reader loop refuses with a
+ValueError naming its line (load_csv refuses a label that long either way).
 """
 
 import contextlib

@@ -144,6 +144,21 @@ def test_a_header_over_the_csv_field_limit_names_line_1(tmp_path):
     assert str(info.value) == f"{path}: line 1: field larger than field limit ({limit})"
 
 
+@pytest.mark.parametrize("blank", ["", "  \n"], ids=["numpy-reader", "csv-reader"])
+def test_a_label_over_the_csv_field_limit_fails_on_either_reader(tmp_path, blank):
+    # without the whitespace-only row numpy's reader takes the file, with
+    # it the csv.reader loop does: both refuse the long label on its line
+    # and both load a label of exactly the limit
+    limit = csv.field_size_limit()
+    path = _write(tmp_path, f"0.1,0.2,A\n{blank}0.3,0.4,{'B' * (limit + 1)}\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    line = 3 if blank else 2
+    assert str(info.value) == f"{path}: line {line}: field larger than field limit ({limit})"
+    path = _write(tmp_path, f"0.1,0.2,A\n{blank}0.3,0.4,{'B' * limit}\n")
+    assert load_csv(path).labels == ("A", "B" * limit)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["", "\n", "\r\n \n"])
 def test_empty_file_keeps_its_message(tmp_path, text):

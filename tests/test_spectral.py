@@ -7,9 +7,7 @@ from fcdm.dataset import generate_spirals, fit_scaler, normalize_dataset
 from fcdm.grid import GridSpec, rasterize_signed
 from fcdm.spectral import (
     PrunedSpectrum,
-    _support,
     _transfer_axis,
-    _transfer_function,
     consecutive_correlations,
     smooth_density,
 )
@@ -17,6 +15,7 @@ from fcdm.trainer import find_optimal_iteration, pearson_correlation, stopping_r
 from oracles import (
     full_plane_correlations,
     full_plane_smooth,
+    full_plane_transfer,
     half_plane,
     smooth,
     smooth_density_direct,
@@ -115,14 +114,14 @@ def test_wrapped_frequency_layout(monkeypatch, cold_transfer_caches):
 # ---------------------------------------------------------------- filter
 
 def test_filter_zero_frequency_value():
-    transfer = _transfer_function(GridSpec(64), 1)
+    transfer = full_plane_transfer(GridSpec(64), 1)
     assert abs(transfer[0, 0] - 1.0 / (2 * np.pi)) <= 1e-12
     assert abs(transfer[0, 0] - 0.15915494) <= 1e-7
 
 
 def test_filter_value_at_unit_exponent():
     # f1 = f2 = 1 gives exponent -(1+1)/2 = -1 at sigma_tilde = 1
-    transfer = _transfer_function(GridSpec(64), 1)
+    transfer = full_plane_transfer(GridSpec(64), 1)
     expected = np.exp(-1.0) / (2 * np.pi)
     assert abs(transfer[1, 1] - expected) <= 1e-12
     assert abs(expected - 0.05854983) <= 1e-7
@@ -137,7 +136,7 @@ def test_filter_even_symmetry(n_iter, exponent):
     # the mirrors of columns 1..N/2-1 are not stored, and swapping f1 and
     # f2 (transposing the square block) stands in for them
     n = 2**exponent
-    transfer = _transfer_function(GridSpec(n), n_iter)
+    transfer = full_plane_transfer(GridSpec(n), n_iter)
     assert np.array_equal(transfer, transfer[(-np.arange(n)) % n])
     width = transfer.shape[1]
     block = transfer[:width]
@@ -147,14 +146,17 @@ def test_filter_even_symmetry(n_iter, exponent):
 @pytest.mark.parametrize("n_mesh", [64, 256, 1024, 2048])
 @pytest.mark.parametrize("n_iter", [1, 5, 6, 32])
 def test_filter_stops_where_its_axis_is_exactly_zero(n_mesh, n_iter):
-    # the stored columns end at the last nonzero of the axis; every later
-    # half-plane column of the full outer product is exactly 0.0
+    # smoothing reads the columns up to the last nonzero of the axis;
+    # every later half-plane column of the full outer product is exactly 0.0
     grid = GridSpec(n_mesh)
-    axis = _transfer_axis(grid, n_iter)
-    width = _transfer_function(grid, n_iter).shape[1]
-    assert width == _support(axis)
+    axis, width = _transfer_axis(grid, n_iter)
     assert axis[width - 1] != 0.0
     assert not axis[width : n_mesh // 2 + 1].any()
+    raster = np.zeros((n_mesh, n_mesh))
+    raster[1, 2] = 1.0
+    spectrum = PrunedSpectrum(raster, grid)
+    smooth_density(spectrum, n_iter)
+    assert spectrum.width == width
 
 
 @pytest.mark.parametrize("n_iter, width", [(5, 194), (6, 232)])
@@ -162,29 +164,35 @@ def test_filter_support_is_mesh_independent(n_iter, width):
     # exp underflows at the same frequency whatever the mesh, once the
     # mesh is fine enough for the aliased copies to underflow as well
     for n_mesh in (512, 1024, 2048):
-        assert _support(_transfer_axis(GridSpec(n_mesh), n_iter)) == width
+        axis, m = _transfer_axis(GridSpec(n_mesh), n_iter)
+        assert m == width
+        assert m == np.flatnonzero(axis[: n_mesh // 2 + 1])[-1] + 1
 
 
 def test_transfer_axes_and_functions_are_memoised_read_only(cold_transfer_caches):
-    # the N-float axes are shared and read-only; the (N, m) transfer
-    # functions are built per call, so no cache keeps one alive
-    grid = GridSpec(64)
-    axis = _transfer_axis(grid, 3)
-    assert _transfer_axis(GridSpec(64), 3) is axis
+    # the (axis, m) records are shared and their N-float axes read-only;
+    # the (N, m) transfer functions are built per call, so no cache keeps one alive
+    record = _transfer_axis(GridSpec(64), 3)
+    assert _transfer_axis(GridSpec(64), 3) is record
+    axis, m = record
     with pytest.raises(ValueError, match="read-only"):
         axis[0] = 0.0
+    assert axis.shape == (64,)
+    assert m == np.flatnonzero(axis[:33])[-1] + 1
     assert _transfer_axis.cache_info().maxsize <= 64
-    assert _transfer_function(grid, 3) is not _transfer_function(grid, 3)
 
 
 def test_filter_rejects_nonpositive_sigma():
+    spectrum = PrunedSpectrum(np.eye(8), GridSpec(8))
     for bad in (0, -1):
         with pytest.raises(ValueError):
-            _transfer_function(GridSpec(8), bad)
+            _transfer_axis(GridSpec(8), bad)
+        with pytest.raises(ValueError):
+            smooth_density(spectrum, bad)
 
 
 def test_filter_decreases_with_frequency():
-    transfer = _transfer_function(GridSpec(32), 2)
+    transfer = full_plane_transfer(GridSpec(32), 2)
     assert transfer[0, 0] == transfer.max()
     assert transfer[16, 16] == transfer.min()  # the corner holds the extreme frequency
 
@@ -397,9 +405,9 @@ def test_keep_frees_columns_past_the_support():
     raster = _sparse_raster(1024, 3, 0.001)
     spectrum = PrunedSpectrum(raster, grid)
     n_k = find_optimal_iteration(spectrum, 0.01, 128).n_k
-    assert spectrum.width == _support(_transfer_axis(grid, n_k + 1))
+    assert spectrum.width == _transfer_axis(grid, n_k + 1)[1]
     spectrum.keep(n_k)
-    width = _support(_transfer_axis(grid, n_k))
+    width = _transfer_axis(grid, n_k)[1]
     assert spectrum.width == width
     assert spectrum.columns(width).flags.c_contiguous
     expected = full_plane_smooth(raster, grid, n_k)

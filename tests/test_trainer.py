@@ -9,7 +9,7 @@ import fcdm.trainer
 from fcdm.dataset import Dataset, generate_spirals, split
 from fcdm.grid import GridSpec
 from fcdm.model_io import model_to_bytes
-from fcdm.spectral import PrunedSpectrum, _support, _transfer_axis, row_tiles
+from fcdm.spectral import PrunedSpectrum, _transfer_axis, row_tiles
 from fcdm.trainer import (
     ClassifierModel,
     ConvergenceTrace,
@@ -20,7 +20,7 @@ from fcdm.trainer import (
     stopping_rule,
     train,
 )
-from oracles import smooth, smooth_density_direct
+from oracles import full_plane_correlations, smooth, smooth_density_direct
 
 
 # ---------------------------------------------------------------- config
@@ -270,13 +270,35 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
 
 
 @pytest.mark.parametrize("mesh", [8, 32, 128])
-def test_constant_raster_rejected_by_both_searches(mesh):
+def test_constant_raster_stops_at_three_in_both_searches(mesh):
+    # a class that fills every pixel: each smoothed field is the same
+    # constant, so c(n) = 1 and the rule stops at its least step
     grid = GridSpec(mesh)
     raster = np.ones((mesh, mesh))
-    with pytest.raises(ValueError, match="constant"):
-        _spatial_search(raster, grid, 0.01, 4)
-    with pytest.raises(ValueError, match="constant"):
-        find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, 4)
+    trace = find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, 4)
+    assert trace == stopping_rule(full_plane_correlations(raster, grid), 0.01, 4)
+    assert (trace.correlations, trace.n_k, trace.converged) == ([1.0, 1.0, 1.0], 3, True)
+
+
+@pytest.mark.parametrize("mesh, stops", [(64, False), (128, False), (256, True)])
+def test_checkerboard_raster_in_both_searches(mesh, stops):
+    # (-1)^(i+j) holds only the corner frequency (N/2, N/2), where the
+    # filter underflows for small n and not for larger ones: a constant
+    # field next to one with variance raises, unless the rule stops first
+    grid = GridSpec(mesh)
+    i = np.arange(mesh)
+    raster = np.where((i[:, None] + i) % 2 == 0, 1.0, -1.0)
+    searches = [
+        lambda: find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, mesh // 8),
+        lambda: stopping_rule(full_plane_correlations(raster, grid), 0.01, mesh // 8),
+    ]
+    for search in searches:
+        if stops:
+            trace = search()
+            assert (trace.correlations, trace.n_k, trace.converged) == ([1.0] * 3, 3, True)
+        else:
+            with pytest.raises(ValueError, match="constant"):
+                search()
 
 
 @pytest.mark.parametrize("mesh", [64, 128, 256, 1024])
@@ -450,9 +472,21 @@ def test_far_apart_two_point_classes():
     assert np.abs(brute[0] - p_a).max() <= 1e-3
 
 
+def test_classes_filling_every_pixel_train():
+    # both classes at every pixel centre: each one-vs-rest raster is all +1,
+    # so both searches stop at 3 and every pixel falls back to uniform
+    centres = (np.arange(64) + 0.5) / 64
+    cells = np.stack(np.meshgrid(centres, centres), axis=-1).reshape(-1, 2)
+    data = Dataset(np.concatenate([cells, cells]), np.repeat([0, 1], len(cells)), ("a", "b"))
+    model = train(data, TrainConfig(n_mesh=64))
+    assert model.class_iterations == {"a": 3, "b": 3}
+    assert all(t.correlations == [1.0, 1.0, 1.0] and t.converged for t in model.traces)
+    assert np.all(model.probabilities == 0.5)
+
+
 def _growth_steps(grid, n_reads):
     """Column-fft calls of a spectrum whose search and smoothing read steps n_reads."""
-    widths = np.maximum.accumulate([_support(_transfer_axis(grid, n)) for n in n_reads])
+    widths = np.maximum.accumulate([_transfer_axis(grid, n)[1] for n in n_reads])
     return int(np.count_nonzero(np.diff(widths, prepend=0)))
 
 
