@@ -7,11 +7,11 @@ k < N/2 and (k - N)/L for k >= N/2 (the wrapped layout of np.fft.fftfreq,
 which the filter below reads). Smoothing in this space is circular, so
 fields are implicitly L-periodic in both directions. Everything works on
 the rfft2 half plane (every row, columns 0..N/2), pruned exactly: the
-filter axis is a sum of Gaussians whose float64 exp underflows to 0.0
-(from column 194 on at n = 5, at any mesh of 512 or more), and a column
-multiplied by exact zeros adds exact zeros to the smoothed field and to
-every correlation sum. So the column fft and ifft skip the columns past
-the filter's reach. numpy computes each 1-D transform on its own, so the
+filter axis is a sum of Gaussians cut to 0.0 below 1e-100 (from column
+108 on at n = 5, at any mesh of 256 or more), and a column multiplied by
+exact zeros adds exact zeros to the smoothed field and to every
+correlation sum. So the column fft and ifft skip the columns past the
+filter's reach. numpy computes each 1-D transform on its own, so the
 spectrum, the smoothed fields ((N, N) float64 arrays) and correlations
 are bit for bit those of rfft2 (row rfft, column fft) and irfft2.
 """
@@ -22,6 +22,7 @@ import itertools
 import numpy as np
 
 _TILE_BYTES = 1 << 20  # one row tile of a pass over a probability stack; a few fit in L2
+_TRANSFER_FLOOR = 1e-100  # transfer axis entries below it are set to 0.0; see _transfer_axis
 
 
 def row_tiles(stack):
@@ -58,17 +59,18 @@ def _transfer_axis(grid, n_iter):
     """(axis, m): one axis of smooth_density's transfer function at step n_iter, its support m.
 
     axis is the aliased Gaussian sum at sigma_tilde = n_iter / L, read-only,
-    in wrapped order and without the 1 / (2 pi sigma_tilde^2) factor; its
-    half-plane columns m..N/2 are exactly zero. The half-plane transforms
-    below take the transfer function to be even, T(-f) = T(f): that is what
-    makes the smoothed field real and lets one half-plane column stand for
-    its mirror. Pairing the alias copies keeps it exactly even, and that is
-    checked here bit for bit. Memoised, N floats each: rebuilding them per
-    class adds ~2 ms to a ~13 ms mesh-256, 45k-point train().
+    in wrapped order, without the 1 / (2 pi sigma_tilde^2) factor and cut to
+    0.0 below _TRANSFER_FLOOR: no product of two entries is subnormal (slow,
+    microcoded on x86); smoothed values move by under 1e-94. Its half-plane
+    columns m..N/2 are 0.0. The transforms below take it to be even, T(-f) =
+    T(f), which makes the smoothed field real and lets one half-plane column
+    stand for its mirror. Pairing the alias copies keeps it exactly even,
+    checked here bit for bit. Memoised; per-class rebuilds would add ~2 ms to a mesh-256 train().
     """
     if n_iter != int(n_iter) or int(n_iter) < 1:
         raise ValueError(f"iteration number must be a positive integer, got {n_iter}")
     axis = _aliased_gaussian(grid, int(n_iter) / grid.domain_width)
+    axis[axis < _TRANSFER_FLOOR] = 0.0
     if not np.array_equal(axis[1:], axis[:0:-1]):
         raise ValueError("transfer function is not even; the smoothed field would not be real")
     axis.flags.writeable = False

@@ -119,8 +119,8 @@ class ClassifierModel:
 def pearson_correlation(x, y):
     """Pearson correlation of two same-shape arrays over their flattened entries.
 
-    A shape mismatch, or a constant array (it has no variance), raises
-    ValueError. The result is clipped into [-1, 1] to absorb roundoff.
+    Two constant arrays give 1.0; a shape mismatch, or one constant array
+    next to one with variance, raises ValueError. Clipped into [-1, 1].
     """
     if np.shape(x) != np.shape(y):
         raise ValueError(f"cannot correlate arrays of shapes {np.shape(x)} and {np.shape(y)}")
@@ -128,7 +128,10 @@ def pearson_correlation(x, y):
     y = np.ravel(y)
     # tested on the values themselves: the mean of a constant array can
     # be off by roundoff, which leaves a tiny nonzero spread below
-    if x.min() == x.max() or y.min() == y.max():
+    flat = (x.min() == x.max(), y.min() == y.max())
+    if all(flat):
+        return 1.0  # two constants: equal up to a shift, as in consecutive_correlations
+    if any(flat):
         raise ValueError("correlation undefined for a constant array")
     dx_ = x - x.mean()
     dy_ = y - y.mean()

@@ -4,12 +4,15 @@ smooth_density_direct sums the spatial kernel point by point; the
 library smooths on the spectrum instead. full_plane_smooth and
 full_plane_correlations are the spectral route on the whole rfft2 half
 plane, with the 2-D rfft2 / irfft2 pair and no pruning: the pruned
-transforms must reproduce them bit for bit. build_probabilities_whole,
-check_probabilities_whole and decision_ppm_whole are the passes over the
-probability stack as whole-array operations, with no row tiles: the
-tiled passes must reproduce them byte for byte. csv_rows_text writes
-CSV rows with one csv.writer call per row: the column-wise row writer
-must reproduce it byte for byte.
+transforms must reproduce them bit for bit. underflow_axis is the filter
+axis with no floor, cut only where float64 exp underflows; fed to the
+full-plane routes, it must give the same bytes too.
+build_probabilities_whole, check_probabilities_whole and
+decision_ppm_whole are the passes over the probability stack as
+whole-array operations, with no row tiles: the tiled passes must
+reproduce them byte for byte. csv_rows_text writes CSV rows with one
+csv.writer call per row: the column-wise row writer must reproduce it
+byte for byte.
 """
 
 import csv
@@ -19,7 +22,7 @@ import itertools
 import numpy as np
 
 from fcdm.render import class_palette
-from fcdm.spectral import PrunedSpectrum, _transfer_axis, smooth_density
+from fcdm.spectral import PrunedSpectrum, _aliased_gaussian, _transfer_axis, smooth_density
 
 
 def smooth(values, grid, n_iter):
@@ -32,21 +35,32 @@ def half_plane(values, grid):
     return PrunedSpectrum(values, grid).columns(grid.n_mesh // 2 + 1)
 
 
-def full_plane_transfer(grid, n_iter):
+def floored_axis(grid, n_iter):
+    """The filter axis smooth_density uses, its entries below 1e-100 set to 0.0."""
+    return _transfer_axis(grid, n_iter)[0]
+
+
+def underflow_axis(grid, n_iter):
+    """The filter axis with no floor: zero only where float64 exp underflows."""
+    return _aliased_gaussian(grid, int(n_iter) / grid.domain_width)
+
+
+def full_plane_transfer(grid, n_iter, axis_of=floored_axis):
     """smooth_density's transfer function at step n_iter on every half-plane
     column, its zeros included: a new (N, N/2 + 1) array."""
-    axis = _transfer_axis(grid, n_iter)[0]
+    axis = axis_of(grid, n_iter)
     st = int(n_iter) / grid.domain_width
     return np.outer(axis, axis[: grid.n_mesh // 2 + 1]) / (2.0 * np.pi * st * st)
 
 
-def full_plane_smooth(values, grid, n_iter):
+def full_plane_smooth(values, grid, n_iter, axis_of=floored_axis):
     """smooth_density's values as one rfft2, full_plane_transfer and one irfft2."""
     n = grid.n_mesh
-    return np.fft.irfft2(np.fft.rfft2(values) * full_plane_transfer(grid, n_iter), s=(n, n))
+    transfer = full_plane_transfer(grid, n_iter, axis_of)
+    return np.fft.irfft2(np.fft.rfft2(values) * transfer, s=(n, n))
 
 
-def full_plane_correlations(values, grid):
+def full_plane_correlations(values, grid, axis_of=floored_axis):
     """consecutive_correlations on the full rfft2 half plane, every power column at once."""
     s = np.fft.rfft2(values)
     half = s.shape[1]
@@ -57,10 +71,10 @@ def full_plane_correlations(values, grid):
     def energy(u):
         return float(u @ power @ u[:half])
 
-    prev = _transfer_axis(grid, 1)[0]
+    prev = axis_of(grid, 1)
     prev_energy = energy(prev * prev)
     for n in itertools.count(2):
-        axis = _transfer_axis(grid, n)[0]
+        axis = axis_of(grid, n)
         cur_energy = energy(axis * axis)
         if cur_energy == 0.0 and prev_energy == 0.0:
             yield 1.0  # both fields are the same constant

@@ -19,6 +19,7 @@ from oracles import (
     half_plane,
     smooth,
     smooth_density_direct,
+    underflow_axis,
 )
 
 
@@ -159,14 +160,30 @@ def test_filter_stops_where_its_axis_is_exactly_zero(n_mesh, n_iter):
     assert spectrum.width == width
 
 
-@pytest.mark.parametrize("n_iter, width", [(5, 194), (6, 232)])
+@pytest.mark.parametrize("n_iter, width", [(5, 108), (6, 129)])
 def test_filter_support_is_mesh_independent(n_iter, width):
-    # exp underflows at the same frequency whatever the mesh, once the
-    # mesh is fine enough for the aliased copies to underflow as well
-    for n_mesh in (512, 1024, 2048):
+    # the axis falls below its 1e-100 floor at the same frequency whatever
+    # the mesh, once the mesh is fine enough for the aliased copies to fall
+    # below it as well
+    for n_mesh in (256, 512, 1024, 2048):
         axis, m = _transfer_axis(GridSpec(n_mesh), n_iter)
         assert m == width
         assert m == np.flatnonzero(axis[: n_mesh // 2 + 1])[-1] + 1
+
+
+@pytest.mark.parametrize("n_mesh", [64, 128, 256, 512, 1024, 2048])
+def test_no_subnormal_filter_operands(n_mesh):
+    # an axis entry below the floor is 0.0, so no entry of the axis, of the
+    # products the search forms or of the transfer block smoothing multiplies
+    # by is subnormal: those run in microcode on x86
+    grid = GridSpec(n_mesh)
+    tiny = np.finfo(float).tiny
+    prev = _transfer_axis(grid, 1)[0]
+    for n in range(1, n_mesh // 8 + 1):
+        axis = _transfer_axis(grid, n)[0]
+        for a in (axis, axis * axis, axis * prev, full_plane_transfer(grid, n)):
+            assert not ((a > 0.0) & (a < tiny)).any(), n
+        prev = axis
 
 
 def test_transfer_axes_and_functions_are_memoised_read_only(cold_transfer_caches):
@@ -395,9 +412,32 @@ def test_capped_search_grows_to_the_full_half_plane(monkeypatch):
     spectrum, trace = _assert_bit_identical(raster, 1e-300, 64)
     assert (trace.n_k, trace.converged) == (64, False)
     # one column fft per growth step, each on the new columns only
-    supports = [39, 78, 116, 155, 194, 232, 257]
+    supports = [22, 43, 65, 86, 108, 129, 151, 172, 194, 215, 237, 257]
     assert widths == np.diff([0] + supports).tolist()
     assert spectrum.width == 257
+
+
+@pytest.mark.parametrize("n_mesh", [256, 1024, 2048])
+@pytest.mark.parametrize("raster", ["spirals", "one pixel"])
+def test_floor_leaves_smoothing_and_search_bit_identical(raster, n_mesh):
+    # the axis entries under the floor would move a smoothed value by under
+    # 1e-94 and a correlation sum by as little: the full plane through the
+    # axis cut only where exp underflows gives the same bytes
+    grid = GridSpec(n_mesh)
+    if raster == "spirals":
+        data = generate_spirals(3, 400, [0.01, 0.015, 0.02], 1.75, 42)
+        values = rasterize_signed(normalize_dataset(data, fit_scaler(data)), "c0", grid).values
+    else:
+        values = np.zeros((n_mesh, n_mesh))
+        values[n_mesh // 3, n_mesh // 2 + 5] = 1.0
+    spectrum = PrunedSpectrum(values, grid)
+    trace = find_optimal_iteration(spectrum, 0.01, n_mesh // 8)
+    oracle = stopping_rule(full_plane_correlations(values, grid, underflow_axis), 0.01, n_mesh // 8)
+    assert np.array(trace.correlations).tobytes() == np.array(oracle.correlations).tobytes()
+    assert (trace.n_k, trace.converged) == (oracle.n_k, oracle.converged)
+    for n in (1, trace.n_k):
+        expected = full_plane_smooth(values, grid, n, underflow_axis)
+        assert smooth_density(spectrum, n).tobytes() == expected.tobytes()
 
 
 def test_keep_frees_columns_past_the_support():

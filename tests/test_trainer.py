@@ -88,6 +88,14 @@ def test_pearson_constant_rejected():
         pearson_correlation(b, a)
 
 
+def test_pearson_two_constants_are_one():
+    # the rule consecutive_correlations follows: two fields with no
+    # variance are the same constant up to a shift
+    a = np.full((8, 8), 3.0)
+    assert pearson_correlation(a, a) == 1.0
+    assert pearson_correlation(a, np.full((8, 8), -0.5)) == 1.0
+
+
 def test_pearson_grid_mismatch_rejected():
     # the same number of pixels in another shape is still a mismatch
     rng = np.random.default_rng(2)
@@ -269,22 +277,27 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
     assert np.abs(np.subtract(trace.correlations, corr_ref)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mesh", [8, 32, 128])
+@pytest.mark.parametrize("mesh", [8, 16, 32, 64, 128])
 def test_constant_raster_stops_at_three_in_both_searches(mesh):
     # a class that fills every pixel: each smoothed field is the same
     # constant, so c(n) = 1 and the rule stops at its least step
     grid = GridSpec(mesh)
     raster = np.ones((mesh, mesh))
+    for n in (1, 2, 3, 4):
+        field = smooth(raster, grid, n)
+        assert field.min() == field.max()
     trace = find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, 4)
     assert trace == stopping_rule(full_plane_correlations(raster, grid), 0.01, 4)
     assert (trace.correlations, trace.n_k, trace.converged) == ([1.0, 1.0, 1.0], 3, True)
+    assert _spatial_search(raster, grid, 0.01, 4) == (3, [1.0] * 3, [0.0], True)
 
 
 @pytest.mark.parametrize("mesh, stops", [(64, False), (128, False), (256, True)])
 def test_checkerboard_raster_in_both_searches(mesh, stops):
     # (-1)^(i+j) holds only the corner frequency (N/2, N/2), where the
-    # filter underflows for small n and not for larger ones: a constant
-    # field next to one with variance raises, unless the rule stops first
+    # filter axis is below its 1e-100 floor for small n and not for larger
+    # ones: a constant field next to one with variance raises, unless the
+    # rule stops first
     grid = GridSpec(mesh)
     i = np.arange(mesh)
     raster = np.where((i[:, None] + i) % 2 == 0, 1.0, -1.0)
