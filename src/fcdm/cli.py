@@ -40,7 +40,7 @@ def _build_parser():
     p.add_argument("--mesh", type=int, default=512)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--nmax", type=int, default=None,
-                   help="bandwidth search cap (default mesh/8)")
+                   help="bandwidth search cap (default max(4, mesh/8))")
     p.add_argument("--header", action="store_true",
                    help="skip the first CSV line")
     p.set_defaults(func=_cmd_train)

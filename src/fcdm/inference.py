@@ -46,7 +46,7 @@ class EvalReport:
 
 
 def predict(model, point):
-    """Classify one raw-coordinate point; NaN raises ValueError.
+    """Classify one raw (x1, x2) pair; any other length, or NaN, raises ValueError.
 
     The lookup rule, shared with predict_batch: clamp into the scaler's fitted
     box (so scaling lands in [0, 1] and cannot overflow), scale, and take the
@@ -54,7 +54,8 @@ def predict(model, point):
     n is a power of two. The largest probability wins, ties to the lowest class.
     """
     s = model.scaler
-    x1, x2 = float(point[0]), float(point[1])
+    x1, x2 = point
+    x1, x2 = float(x1), float(x2)
     if math.isnan(x1) or math.isnan(x2):
         raise ValueError("cannot map NaN coordinates to a pixel")
     x1 = s.min1 if x1 < s.min1 else s.max1 if x1 > s.max1 else x1
@@ -82,7 +83,7 @@ def predict_batch(model, coords):
 
 
 def evaluate(model, data):
-    """Score a labeled dataset; every label must exist in the model vocabulary."""
+    """Score a labeled dataset in the model's vocabulary: scalar predict, then one bincount."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     unknown = sorted(set(data.labels) - set(model.labels))
@@ -92,17 +93,14 @@ def evaluate(model, data):
         )
     k = len(model.labels)
     index = {lab: i for i, lab in enumerate(model.labels)}
-    truth = [index[lab] for lab in data.labels]
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for point, code in zip(data.coords.tolist(), data.codes.tolist()):
-        pred = predict(model, point)
-        confusion[truth[code], index[pred.label]] += 1
+    truth = np.array([index[lab] for lab in data.labels])[data.codes]
+    pred = [index[predict(model, point).label] for point in data.coords.tolist()]
+    confusion = np.bincount(truth * k + pred, minlength=k * k).reshape(k, k)
     row_sums = confusion.sum(axis=1)
     present = row_sums > 0
-    recall = np.zeros(k, dtype=np.float64)
-    recall[present] = confusion.diagonal()[present] / row_sums[present]
-    macro = float(recall[present].mean()) if present.any() else 0.0
-    accuracy = float(confusion.diagonal().sum() / confusion.sum())
+    recall = np.divide(confusion.diagonal(), row_sums, out=np.zeros(k), where=present)
+    macro = float(recall[present].mean())
+    accuracy = float(confusion.trace() / len(data))
     return EvalReport(
         labels=model.labels,
         confusion=confusion,

@@ -24,7 +24,7 @@ _DEGENERATE_EPS = 1e-12
 
 @dataclass
 class TrainConfig:
-    """Knobs for train(). n_max defaults to n_mesh // 8 when left None."""
+    """Knobs for train(). n_max defaults to max(4, n_mesh // 8) when left None."""
 
     n_mesh: int = 512
     epsilon: float = 0.01
@@ -33,7 +33,7 @@ class TrainConfig:
     def __post_init__(self):
         self.n_mesh = GridSpec(self.n_mesh).n_mesh  # the mesh rule lives there
         if self.n_max is None:
-            self.n_max = self.n_mesh // 8
+            self.n_max = max(4, self.n_mesh // 8)
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (hasattr(self.n_max, "__index__") and self.n_max >= 4):

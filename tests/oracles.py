@@ -12,7 +12,9 @@ decision_ppm_whole are the passes over the probability stack as
 whole-array operations, with no row tiles: the tiled passes must
 reproduce them byte for byte. csv_rows_text writes CSV rows with one
 csv.writer call per row: the column-wise row writer must reproduce it
-byte for byte.
+byte for byte. evaluate_pointwise builds the confusion matrix with one
+increment per point: evaluate's single bincount must give the same
+report, bit for bit.
 """
 
 import csv
@@ -21,6 +23,7 @@ import itertools
 
 import numpy as np
 
+from fcdm.inference import EvalReport, predict
 from fcdm.render import class_palette
 from fcdm.spectral import PrunedSpectrum, _aliased_gaussian, _transfer_axis, smooth_density
 
@@ -165,3 +168,28 @@ def csv_rows_text(xy, labels, codes, probs=None):
         tail = [] if probs is None else [repr(p) for p in probs[r].tolist()]
         writer.writerow([repr(x) for x in xy[r].tolist()] + [labels[code]] + tail)
     return buf.getvalue()
+
+
+def evaluate_pointwise(model, data):
+    """evaluate with one confusion[t, p] += 1 per point; the EvalReport."""
+    k = len(model.labels)
+    index = {lab: i for i, lab in enumerate(model.labels)}
+    truth = [index[lab] for lab in data.labels]
+    confusion = np.zeros((k, k), dtype=np.int64)
+    for point, code in zip(data.coords.tolist(), data.codes.tolist()):
+        pred = predict(model, point)
+        confusion[truth[code], index[pred.label]] += 1
+    row_sums = confusion.sum(axis=1)
+    present = row_sums > 0
+    recall = np.zeros(k, dtype=np.float64)
+    recall[present] = confusion.diagonal()[present] / row_sums[present]
+    macro = float(recall[present].mean()) if present.any() else 0.0
+    accuracy = float(confusion.diagonal().sum() / confusion.sum())
+    return EvalReport(
+        labels=model.labels,
+        confusion=confusion,
+        per_class_recall=recall,
+        macro_recall=macro,
+        accuracy=accuracy,
+        n_points=len(data),
+    )

@@ -10,6 +10,7 @@ from fcdm.dataset import Dataset, FeatureScaler, apply_scaler
 from fcdm.grid import GridSpec, _pixel_rows_cols
 from fcdm.inference import evaluate, predict, predict_batch
 from fcdm.trainer import ClassifierModel
+from oracles import evaluate_pointwise
 
 
 def _model_from_fields(fields, labels, n=8, scaler=None):
@@ -68,6 +69,12 @@ def test_predict_rejects_nan():
     for point in ((float("nan"), 0.5), (0.5, float("nan")), (float("nan"), float("inf"))):
         with pytest.raises(ValueError, match="NaN"):
             predict(model, point)
+
+
+@pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), np.zeros(3), (), (1,), np.zeros((1, 2))])
+def test_predict_takes_exactly_one_pair(point):
+    with pytest.raises(ValueError, match="values to unpack"):
+        predict(_flat_model((0.5, 0.5)), point)
 
 
 def test_predict_uses_scaler():
@@ -274,3 +281,48 @@ def test_tie_model_has_ties_and_edges_land_on_the_upper_pixel():
     # an edge k/N belongs to pixel k; the far edge 1 clamps into pixel N - 1
     assert predict(model, (3 / 8, 5 / 8)).pixel == (5, 3)
     assert predict(model, (1.0, 1.0)).pixel == (7, 7)
+
+
+@st.composite
+def _small_models(draw):
+    """A 2- to 5-class model on mesh 8 or 16, its fields small integer
+    weights normalized per pixel, so that many pixels hold exact ties."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.sampled_from([8, 16]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    weights = np.random.default_rng(seed).integers(3, size=(k, n, n)).astype(float)
+    weights[:, weights.sum(axis=0) == 0] = 1.0
+    scaler = draw(st.sampled_from([m.scaler for m in _TIE_MODELS]))
+    labels = tuple(f"k{c}" for c in range(k))
+    return _model_from_fields(list(weights / weights.sum(axis=0)), labels, n=n, scaler=scaler)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_evaluate_matches_the_pointwise_count(data):
+    # the dataset's vocabulary is a permutation or a subset of the model's,
+    # and its codes need not use every class
+    model = data.draw(st.one_of(st.sampled_from(_TIE_MODELS), _small_models()))
+    k, s = len(model.labels), model.scaler
+    vocabulary = data.draw(st.permutations(model.labels))
+    vocabulary = vocabulary[: data.draw(st.integers(min_value=2, max_value=k))]
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    codes = data.draw(st.lists(st.integers(0, len(vocabulary) - 1), min_size=n, max_size=n))
+    x1 = st.floats(s.min1 - 1.0, s.max1 + 1.0)
+    x2 = st.floats(s.min2 - 1.0, s.max2 + 1.0)
+    coords = data.draw(st.lists(st.tuples(x1, x2), min_size=n, max_size=n))
+    dataset = Dataset(coords=coords, codes=codes, labels=vocabulary)
+
+    report, ref = evaluate(model, dataset), evaluate_pointwise(model, dataset)
+    assert report.labels == ref.labels
+    assert report.confusion.dtype == ref.confusion.dtype == np.int64
+    assert np.array_equal(report.confusion, ref.confusion)
+    assert report.per_class_recall.tobytes() == ref.per_class_recall.tobytes()
+    assert report.macro_recall == ref.macro_recall
+    assert report.accuracy == ref.accuracy
+    assert report.n_points == ref.n_points == n
+    # the same count over predict_batch's codes
+    truth = np.array([model.labels.index(lab) for lab in vocabulary])[dataset.codes]
+    pred = predict_batch(model, dataset.coords)[0]
+    assert np.array_equal(np.bincount(truth * k + pred, minlength=k * k).reshape(k, k),
+                          report.confusion)

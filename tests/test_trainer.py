@@ -47,8 +47,7 @@ def test_config_validation():
         TrainConfig(n_max=3)
     with pytest.raises(ValueError, match="power of two"):
         TrainConfig(n_mesh=4)
-    with pytest.raises(ValueError):
-        TrainConfig(n_mesh=16)  # default n_max would be 2
+    assert TrainConfig(n_mesh=16).n_max == 4  # mesh // 8 would be 2, below the rule's 4
 
 
 def test_config_accepts_numpy_integers():
@@ -448,6 +447,16 @@ def test_golden_spiral_run_at_128():
         assert trace.converged
         corrs = trace.correlations
         assert all(b > a for a, b in zip(corrs, corrs[1:]))
+
+
+@pytest.mark.parametrize("mesh", [8, 16])
+def test_default_config_trains_at_the_smallest_meshes(mesh):
+    # mesh // 8 is 1 or 2 here; the default cap is the stopping rule's least, 4
+    data = generate_spirals(3, 40, [0.01, 0.015, 0.02], 1.75, 42)
+    model = train(data, TrainConfig(n_mesh=mesh))
+    assert model.grid.n_mesh == mesh
+    assert model.n_final == 4
+    assert all(not t.converged and len(t.correlations) == 3 for t in model.traces)
 
 
 def test_n_final_is_max_of_class_stops():
