@@ -24,13 +24,25 @@ def _readonly(values, dtype):
     return out
 
 
+def _vocabulary(labels):
+    """The label rule of datasets, models and model files: 2+ distinct non-empty strings."""
+    labels = tuple(labels)
+    if not all(isinstance(lab, str) and lab for lab in labels):
+        raise ValueError(f"labels must be non-empty strings, got {labels!r}")
+    if len(set(labels)) != len(labels):
+        raise ValueError("label vocabulary contains duplicates")
+    if len(labels) < 2:
+        raise ValueError(f"need at least 2 classes, got {len(labels)}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled points: coords[r] = (x1, x2) is a point of class labels[codes[r]].
 
-    The vocabulary fixes the class order used everywhere downstream
-    (rasters, probability fields, confusion matrices). Both arrays are
-    read-only copies of what was passed in; coordinates must be finite.
+    labels is the vocabulary, 2+ distinct non-empty strings (_vocabulary's rule,
+    which models share); it fixes the class order of rasters, fields and confusion
+    matrices. Both arrays are read-only copies; coordinates must be finite.
     """
 
     coords: np.ndarray
@@ -38,27 +50,20 @@ class Dataset:
     labels: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", _vocabulary(self.labels))
         coords = _readonly(self.coords, np.float64)
         codes = _readonly(self.codes, np.intp)
-        labels = tuple(self.labels)
-        if not all(isinstance(lab, str) and lab for lab in labels):
-            raise ValueError("point label must be a non-empty string")
-        if len(set(labels)) != len(labels):
-            raise ValueError("label vocabulary contains duplicates")
-        if len(labels) < 2:
-            raise ValueError(f"need at least 2 classes, got {len(labels)}")
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError(f"coords must have shape (n, 2), got {coords.shape}")
         if codes.shape != (len(coords),):
             raise ValueError(f"got {codes.size} codes for {len(coords)} points")
         if not np.isfinite(coords).all():
             raise ValueError("point coordinates must be finite")
-        outside = codes[(codes < 0) | (codes >= len(labels))]
+        outside = codes[(codes < 0) | (codes >= len(self.labels))]
         if outside.size:
             raise ValueError(f"point label code {outside[0]} missing from vocabulary")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self):
         return len(self.codes)
@@ -155,13 +160,11 @@ def generate_spirals(n_classes, n_per_class, noise_sigmas, turns, seed):
     Arm k is offset by angle 2*pi*k/n_classes; the arc parameter t is
     uniform on [0.2, 1], radius grows as 0.45*t around center (0.5, 0.5),
     and isotropic Gaussian noise with per-class sigma is added to both
-    coordinates. Labels are "c0", "c1", ... in class order. Deterministic
-    for a fixed (n_classes, n_per_class, noise_sigmas, turns, seed); draws
-    come from a PCG64 stream in a fixed order (t first, then the noise
-    pair, class by class).
+    coordinates. Labels are "c0", "c1", ..., so Dataset's rule refuses
+    n_classes < 2. Deterministic for a fixed (n_classes, n_per_class,
+    noise_sigmas, turns, seed); draws come from a PCG64 stream in a fixed
+    order (t first, then the noise pair, class by class).
     """
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
     if n_per_class < 1:
         raise ValueError(f"need at least 1 point per class, got {n_per_class}")
     sigmas = [float(s) for s in noise_sigmas]
@@ -195,13 +198,11 @@ def split(data, test_fraction, seed):
     round(m * (1 - test_fraction)) points go to train, clamped so both
     halves keep at least one point per class. Rounding is half-up. Output
     order is class by class in vocabulary order, shuffled within a class.
-    Both halves carry the parent vocabulary. Classes with fewer than two
-    points cannot be stratified and raise ValueError.
+    Both halves carry the parent vocabulary. A class of fewer than two points
+    (so any class of an empty dataset) cannot be stratified: ValueError.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if len(data) == 0:
-        raise ValueError("cannot split an empty dataset")
     rng = np.random.Generator(np.random.PCG64(seed))
     train_rows, test_rows = [], []
     for k, lab in enumerate(data.labels):

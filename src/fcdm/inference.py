@@ -46,13 +46,15 @@ class EvalReport:
 
 
 def predict(model, point):
-    """Classify one raw (x1, x2) pair; any other length, or NaN, raises ValueError.
+    """Classify one raw (x1, x2) pair of numbers; a string, another length or NaN: ValueError.
 
     The lookup rule, shared with predict_batch: clamp into the scaler's fitted
     box (so scaling lands in [0, 1] and cannot overflow), scale, and take the
     pixel of fcdm.grid._pixel_rows_cols, here min(int(u * n), n - 1), exact as
     n is a power of two. The largest probability wins, ties to the lowest class.
     """
+    if isinstance(point, (str, bytes)):  # else "12" would unpack as the pair (1, 2)
+        raise ValueError(f"a point is a pair of numbers, not a string: {point!r}")
     s = model.scaler
     x1, x2 = point
     x1, x2 = float(x1), float(x2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FeatureScaler, fit_scaler, normalize_dataset
+from .dataset import FeatureScaler, _vocabulary, fit_scaler, normalize_dataset
 from .grid import GridSpec, rasterize_signed
 from .spectral import PrunedSpectrum, consecutive_correlations, row_tiles, smooth_density
 
@@ -64,10 +64,10 @@ class ConvergenceTrace:
 class ClassifierModel:
     """A trained classifier: per-class probability fields over the unit square.
 
-    probabilities is one C-contiguous (K, n_mesh, n_mesh) float64 array;
-    probabilities[k] matches labels[k]. traces[k] is the bandwidth search
-    of class labels[k], the one training diagnostic; models restored from
-    disk carry None there.
+    labels obeys Dataset's label rule, as a tuple. probabilities is one C-contiguous
+    (K, n_mesh, n_mesh) float64 array, probabilities[k] for labels[k]. traces[k] is
+    the bandwidth search of class labels[k], the one training diagnostic; models
+    restored from disk carry None there.
     """
 
     labels: tuple
@@ -79,13 +79,8 @@ class ClassifierModel:
     traces: list = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.labels = _vocabulary(self.labels)
         k = len(self.labels)
-        if k < 2:
-            raise ValueError(f"need at least 2 classes, got {k}")
-        if not all(isinstance(lab, str) for lab in self.labels):
-            raise ValueError(f"labels must be strings, got {self.labels!r}")
-        if len(set(self.labels)) != k:
-            raise ValueError("label vocabulary contains duplicates")
         probs = self.probabilities = np.ascontiguousarray(self.probabilities, dtype=np.float64)
         shape = (k, self.grid.n_mesh, self.grid.n_mesh)
         if probs.shape != shape:

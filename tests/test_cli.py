@@ -589,6 +589,25 @@ def test_corrupted_model_is_runtime_error_naming_the_file(workspace, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label, rule", [(b"c0", "duplicates"), (b"", "non-empty")])
+def test_model_file_breaking_the_label_rule_is_runtime_error(workspace, tmp_path, capsys,
+                                                             label, rule):
+    raw = workspace["model"].read_bytes()
+    assert raw[60:78] == b"".join(len(lab).to_bytes(4, "little") + lab
+                                  for lab in (b"c0", b"c1", b"c2"))
+    # the second label, "c1" at offsets 66-72, becomes `label`
+    model = tmp_path / "labels.fcdm"
+    model.write_bytes(raw[:66] + len(label).to_bytes(4, "little") + label + raw[72:])
+    out = tmp_path / "out.csv"
+    code, _ = _run(["predict", "--model", str(model), "--input", str(workspace["csv"]),
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "labels.fcdm" in err and rule in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- harness
 
 def test_help_exits_zero():

@@ -21,6 +21,8 @@ from fcdm.dataset import (
     split,
     write_csv,
 )
+from fcdm.grid import GridSpec
+from fcdm.trainer import ClassifierModel
 from oracles import csv_rows_text
 
 
@@ -239,8 +241,40 @@ def test_dataset_rejects_empty_label():
 @pytest.mark.parametrize("labels", [(1, 2), ("A", 2), (b"A", "B")])
 def test_dataset_rejects_labels_that_are_not_strings(labels):
     # save_model writes labels as UTF-8, so a model could not be saved with these
-    with pytest.raises(ValueError, match="point label must be a non-empty string"):
+    with pytest.raises(ValueError, match="labels must be non-empty strings"):
         Dataset(coords=[(0.1, 0.2), (0.3, 0.4)], codes=[0, 1], labels=labels)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("A", "B", "A"), "label vocabulary contains duplicates"),
+    (("A",), "need at least 2 classes, got 1"),
+], ids=["duplicate", "one"])
+def test_dataset_rejects_a_duplicate_or_a_lone_label(labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(coords=[(0.1, 0.2)], codes=[0], labels=labels)
+
+
+@given(st.lists(st.sampled_from(["", "  ", "a", "b", "c", 1]), max_size=4).map(tuple))
+def test_datasets_and_models_share_one_label_rule(labels):
+    k = len(labels)
+
+    def outcome(make):
+        try:
+            return "accepted", make().labels
+        except ValueError as exc:
+            return "refused", str(exc)
+
+    dataset = outcome(lambda: Dataset(np.empty((0, 2)), [], labels))
+    model = outcome(lambda: ClassifierModel(
+        labels, GridSpec(8), FeatureScaler(0, 1, 0, 1), 3, 0.01,
+        np.full((k, 8, 8), 1.0 / max(k, 1)),
+    ))
+    assert dataset == model
+    valid = k >= 2 and len(set(labels)) == k and all(isinstance(x, str) and x for x in labels)
+    if valid:
+        assert dataset == ("accepted", labels)
+    else:
+        assert dataset[0] == "refused"
 
 
 def test_dataset_arrays_are_read_only_copies():
@@ -259,6 +293,11 @@ def test_dataset_arrays_are_read_only_copies():
 
 
 # ---------------------------------------------------------------- scaler
+
+def test_fit_scaler_rejects_an_empty_dataset():
+    with pytest.raises(ValueError, match="cannot fit a scaler to an empty dataset"):
+        fit_scaler(Dataset(np.empty((0, 2)), [], ("A", "B")))
+
 
 def test_fit_scaler_extrema():
     data = Dataset(coords=[(2, 10), (4, 30)], codes=[0, 1], labels=("A", "B"))
@@ -379,6 +418,11 @@ def test_spirals_noise_free_points_stay_near_center():
     assert radii.min() >= 0.2 * 0.45 - 1e-12
 
 
+def test_spirals_of_one_class_fail_the_label_rule():
+    with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
+        generate_spirals(1, 10, [0.01], 1.75, 0)
+
+
 def test_spirals_noise_arity_checked():
     with pytest.raises(ValueError, match="noise"):
         generate_spirals(3, 10, [0.01, 0.02], 1.75, 0)
@@ -432,6 +476,11 @@ def test_split_two_point_class_keeps_one_each():
     train_set, test_set = split(data, 0.5, 0)
     assert train_set.class_counts() == {"A": 1, "B": 1}
     assert test_set.class_counts() == {"A": 1, "B": 1}
+
+
+def test_split_of_an_empty_dataset_fails_the_per_class_rule():
+    with pytest.raises(ValueError, match=r"class 'A' has 0 point\(s\); need at least 2"):
+        split(Dataset(np.empty((0, 2)), [], ("A", "B")), 0.25, 0)
 
 
 def test_split_rejects_bad_fraction():

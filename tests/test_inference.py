@@ -77,6 +77,24 @@ def test_predict_takes_exactly_one_pair(point):
         predict(_flat_model((0.5, 0.5)), point)
 
 
+@pytest.mark.parametrize("point", ["12", b"12", np.str_("12")], ids=["str", "bytes", "np.str_"])
+def test_both_lookups_refuse_a_string_point(point):
+    model = _flat_model((0.5, 0.5))
+    with pytest.raises(ValueError, match="not a string"):
+        predict(model, point)
+    with pytest.raises(ValueError):
+        predict_batch(model, [point])
+
+
+def test_a_pair_of_numeric_strings_reads_the_same_pixel_in_both_lookups():
+    model = _split_model()
+    pred = predict(model, ("0.1", "0.2"))
+    codes, probs = predict_batch(model, [("0.1", "0.2")])
+    assert pred == predict(model, (0.1, 0.2))
+    assert model.labels[codes[0]] == pred.label
+    assert tuple(probs[0].tolist()) == pred.probabilities
+
+
 def test_predict_uses_scaler():
     # raw data on [10, 20] x [0, 100]; left half of the raw range is class A
     model = _model_from_fields(

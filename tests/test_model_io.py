@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -107,7 +108,7 @@ def test_non_ascii_labels_round_trip():
 def test_non_string_labels_rejected():
     # such a model could not be saved: the labels are written as UTF-8
     for labels in ((1, 2), ("a", 2), (b"a", "b")):
-        with pytest.raises(ValueError, match="labels must be strings"):
+        with pytest.raises(ValueError, match="labels must be non-empty strings"):
             _toy_model(labels=labels)
 
 
@@ -170,6 +171,42 @@ def test_class_count_below_two_rejected_naming_file(tmp_path, k):
     path.write_bytes(raw)
     with pytest.raises(ModelFormatError, match=r"few\.fcdm: .*class"):
         load_model(path)
+
+
+def _packed(labels=("a", "b"), n_final=3, epsilon=0.01, bounds=(0.0, 1.0, 0.0, 1.0), n=8):
+    """A model file packed by hand, so its header can hold what ClassifierModel refuses."""
+    k = len(labels)
+    return (
+        MAGIC
+        + struct.pack("<IIIId4d", VERSION, k, n, n_final, epsilon, *bounds)
+        + b"".join(struct.pack("<I", len(lab.encode())) + lab.encode() for lab in labels)
+        + np.full((k, n, n), 1.0 / k, dtype="<f8").tobytes()
+    )
+
+
+def test_hand_packed_file_is_what_model_to_bytes_writes():
+    model = ClassifierModel(
+        labels=("a", "b"), grid=GridSpec(8), scaler=FeatureScaler(0.0, 1.0, 0.0, 1.0),
+        n_final=3, epsilon=0.01, probabilities=np.full((2, 8, 8), 0.5),
+    )
+    assert _packed() == model_to_bytes(model)
+    assert model_to_bytes(model_from_bytes(_packed())) == _packed()
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"n_final": 0}, "n_final must be a positive integer, got 0"),
+    ({"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+    ({"epsilon": -1.0}, "epsilon must be positive, got -1.0"),
+    ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
+    ({"bounds": (-1e308, 1e308, 0.0, 1.0)}, "scaler range for x1 overflows"),
+    ({"labels": ("a",)}, "need at least 2 classes, got 1"),
+    ({"labels": ("a", "a")}, "label vocabulary contains duplicates"),
+    ({"labels": ("", "b")}, "labels must be non-empty strings, got ('', 'b')"),
+], ids=["n_final 0", "epsilon 0", "epsilon -1", "epsilon nan", "overflowing scaler",
+        "one label", "duplicate labels", "empty label"])
+def test_header_rules_reject_a_file_naming_the_rule(header, message):
+    with pytest.raises(ModelFormatError, match=re.escape(f"<bytes>: {message}")):
+        model_from_bytes(_packed(**header))
 
 
 def test_non_utf8_label_rejected_naming_source():

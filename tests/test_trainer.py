@@ -570,6 +570,11 @@ def test_train_is_deterministic():
     assert model_to_bytes(train(data, config)) == model_to_bytes(train(data, config))
 
 
+def test_train_without_a_config_uses_the_default_one():
+    data = generate_spirals(2, 30, [0.01, 0.02], 1.5, 8)
+    assert model_to_bytes(train(data)) == model_to_bytes(train(data, TrainConfig()))
+
+
 def test_train_rejects_empty_class():
     data = Dataset(
         coords=[(0.1, 0.2), (0.9, 0.8), (0.4, 0.6)], codes=[0, 0, 1],
@@ -589,6 +594,11 @@ def test_model_invariants_enforced():
         ClassifierModel(
             labels=("A", "B"), grid=grid, scaler=scaler, n_final=3,
             epsilon=0.01, probabilities=bad,
+        )
+    with pytest.raises(ValueError, match=re.escape("shape (3, 8, 8), expected (2, 8, 8)")):
+        ClassifierModel(
+            labels=("A", "B"), grid=grid, scaler=scaler, n_final=3,
+            epsilon=0.01, probabilities=np.full((3, 8, 8), 1 / 3),
         )
     good = np.full((2, 8, 8), 0.5)
 
