@@ -26,7 +26,6 @@ def main(argv=None):
     parser.add_argument("--test-fraction", type=float, default=0.25)
     parser.add_argument("--mesh", type=int, default=512)
     parser.add_argument("--epsilon", type=float, default=0.01)
-    parser.add_argument("--nmax", type=int, default=None)
     parser.add_argument("--render-dir", default=None,
                         help="write probability PGMs and the decision PPM here")
     args = parser.parse_args(argv)
@@ -39,7 +38,7 @@ def main(argv=None):
     print(f"dataset: {len(data)} points, {len(data.labels)} classes "
           f"({len(train_set)} train / {len(test_set)} test)")
 
-    config = fcdm.TrainConfig(n_mesh=args.mesh, epsilon=args.epsilon, n_max=args.nmax)
+    config = fcdm.TrainConfig(n_mesh=args.mesh, epsilon=args.epsilon)
     started = time.perf_counter()
     model = fcdm.train(train_set, config)
     elapsed = time.perf_counter() - started

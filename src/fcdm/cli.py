@@ -39,8 +39,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--mesh", type=int, default=512)
     p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--nmax", type=int, default=None,
-                   help="bandwidth search cap (default max(4, mesh/8))")
     p.add_argument("--header", action="store_true",
                    help="skip the first CSV line")
     p.set_defaults(func=_cmd_train)
@@ -88,7 +86,7 @@ def _cmd_generate(args):
 
 def _cmd_train(args):
     try:
-        config = TrainConfig(n_mesh=args.mesh, epsilon=args.epsilon, n_max=args.nmax)
+        config = TrainConfig(n_mesh=args.mesh, epsilon=args.epsilon)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     data = ds.load_csv(args.input, has_header=args.header)

@@ -160,11 +160,12 @@ def generate_spirals(n_classes, n_per_class, noise_sigmas, turns, seed):
     Arm k is offset by angle 2*pi*k/n_classes; the arc parameter t is
     uniform on [0.2, 1], radius grows as 0.45*t around center (0.5, 0.5),
     and isotropic Gaussian noise with per-class sigma is added to both
-    coordinates. Labels are "c0", "c1", ..., so Dataset's rule refuses
-    n_classes < 2. Deterministic for a fixed (n_classes, n_per_class,
-    noise_sigmas, turns, seed); draws come from a PCG64 stream in a fixed
-    order (t first, then the noise pair, class by class).
+    coordinates. Labels are "c0", "c1", ..., checked first by _vocabulary's
+    rule (n_classes < 2 fails there). Deterministic for a fixed (n_classes,
+    n_per_class, noise_sigmas, turns, seed); draws come from a PCG64 stream
+    in a fixed order (t first, then the noise pair, class by class).
     """
+    labels = _vocabulary(f"c{k}" for k in range(n_classes))
     if n_per_class < 1:
         raise ValueError(f"need at least 1 point per class, got {n_per_class}")
     sigmas = [float(s) for s in noise_sigmas]
@@ -187,7 +188,7 @@ def generate_spirals(n_classes, n_per_class, noise_sigmas, turns, seed):
     return Dataset(
         coords=coords.reshape(-1, 2),
         codes=np.repeat(np.arange(n_classes), n_per_class),
-        labels=tuple(f"c{k}" for k in range(n_classes)),
+        labels=labels,
     )
 
 

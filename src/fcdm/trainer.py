@@ -24,21 +24,19 @@ _DEGENERATE_EPS = 1e-12
 
 @dataclass
 class TrainConfig:
-    """Knobs for train(). n_max defaults to max(4, n_mesh // 8) when left None."""
+    """Knobs for train(): n_mesh and epsilon. n_max, the search cap, follows from the mesh."""
 
     n_mesh: int = 512
     epsilon: float = 0.01
-    n_max: int = None
 
     def __post_init__(self):
         self.n_mesh = GridSpec(self.n_mesh).n_mesh  # the mesh rule lives there
-        if self.n_max is None:
-            self.n_max = max(4, self.n_mesh // 8)
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (hasattr(self.n_max, "__index__") and self.n_max >= 4):
-            raise ValueError(f"n_max must be an integer of at least 4, got {self.n_max!r}")
-        self.n_max = operator.index(self.n_max)
+
+    @property
+    def n_max(self):
+        return max(4, self.n_mesh // 8)  # 4 is the stopping rule's least cap
 
 
 @dataclass

@@ -117,6 +117,8 @@ def test_generate_negative_seed_is_usage_error(tmp_path, capsys):
     (["--classes", "1", "--noise", "0.01"], "need at least 2 classes, got 1"),
     (["--per-class", "0"], "need at least 1 point per class, got 0"),
     (["--noise", "0.01,inf,0.02"], "noise sigmas must be finite and nonnegative"),
+    (["--classes", "1"], "need at least 2 classes, got 1"),  # before the sigma count
+    (["--classes", "0"], "need at least 2 classes, got 0"),
 ])
 def test_generate_argument_rules_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
@@ -164,12 +166,15 @@ def test_train_rejects_zero_epsilon(workspace, tmp_path):
     assert code == 2
 
 
-def test_train_rejects_small_nmax(workspace, tmp_path):
+def test_train_has_no_nmax_flag(workspace, tmp_path, capsys):
+    # the bandwidth search cap follows from --mesh
     code, _ = _run([
         "train", "--input", str(workspace["csv"]),
-        "--out", str(tmp_path / "m"), "--nmax", "3",
+        "--out", str(tmp_path / "m"), "--nmax", "4",
     ])
     assert code == 2
+    assert "unrecognized arguments: --nmax" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_train_missing_input_is_runtime_error(tmp_path):

@@ -4,10 +4,11 @@ load_csv and fcdm predict read a file with numpy's C reader and fall back
 to the row-by-row csv.reader loop wherever numpy refuses it. Each check
 runs both ways, the second with the fast read patched out, and wants the
 same result: the same coordinates bit for bit, codes and vocabulary, or
-the same error message and exit code. One difference is left out of the
-generated text: a field longer than csv.field_size_limit(), which numpy's
-reader takes for fcdm predict and the csv.reader loop refuses with a
-ValueError naming its line (load_csv refuses a label that long either way).
+the same error message and exit code. Left out of the generated text is
+a field longer than csv.field_size_limit(). load_csv refuses a label that
+long either way. A coordinate that long, in load_csv or fcdm predict, and
+a third field that long in fcdm predict, load through numpy's reader but
+not through the csv.reader loop, which raises a ValueError naming the line.
 """
 
 import contextlib

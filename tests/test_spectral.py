@@ -11,7 +11,7 @@ from fcdm.spectral import (
     consecutive_correlations,
     smooth_density,
 )
-from fcdm.trainer import find_optimal_iteration, pearson_correlation, stopping_rule
+from fcdm.trainer import TrainConfig, find_optimal_iteration, pearson_correlation, stopping_rule
 from oracles import (
     full_plane_correlations,
     full_plane_smooth,
@@ -381,7 +381,8 @@ def _assert_bit_identical(raster, epsilon, n_max):
 @settings(max_examples=30, deadline=None)
 def test_pruned_path_is_bit_identical_to_full_plane(mesh, seed, fill, epsilon):
     # sparse draws leave many rows empty, dense ones none
-    _assert_bit_identical(_sparse_raster(mesh, seed, fill), epsilon, max(4, mesh // 8))
+    n_max = TrainConfig(n_mesh=mesh).n_max
+    _assert_bit_identical(_sparse_raster(mesh, seed, fill), epsilon, n_max)
 
 
 def test_raster_with_empty_rows_is_bit_identical():
@@ -431,8 +432,9 @@ def test_floor_leaves_smoothing_and_search_bit_identical(raster, n_mesh):
         values = np.zeros((n_mesh, n_mesh))
         values[n_mesh // 3, n_mesh // 2 + 5] = 1.0
     spectrum = PrunedSpectrum(values, grid)
-    trace = find_optimal_iteration(spectrum, 0.01, n_mesh // 8)
-    oracle = stopping_rule(full_plane_correlations(values, grid, underflow_axis), 0.01, n_mesh // 8)
+    n_max = TrainConfig(n_mesh=n_mesh).n_max
+    trace = find_optimal_iteration(spectrum, 0.01, n_max)
+    oracle = stopping_rule(full_plane_correlations(values, grid, underflow_axis), 0.01, n_max)
     assert np.array(trace.correlations).tobytes() == np.array(oracle.correlations).tobytes()
     assert (trace.n_k, trace.converged) == (oracle.n_k, oracle.converged)
     for n in (1, trace.n_k):

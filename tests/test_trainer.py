@@ -32,36 +32,35 @@ def test_config_defaults():
     assert config.n_max == 64  # n_mesh / 8
 
 
-def test_config_nmax_follows_mesh():
-    assert TrainConfig(n_mesh=128).n_max == 16
+@pytest.mark.parametrize("mesh", [2**k for k in range(3, 12)])
+def test_config_nmax_follows_mesh(mesh):
+    # the one place besides TrainConfig that writes the cap out; at mesh
+    # 8 and 16, mesh // 8 is below the stopping rule's least cap, 4
+    assert TrainConfig(n_mesh=mesh).n_max == max(4, mesh // 8)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(n_mesh=100)
-    with pytest.raises(ValueError, match="n_max must be an integer"):
-        TrainConfig(n_max=6.0)  # range() in the search would reject it later
     with pytest.raises(ValueError):
         TrainConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(n_max=3)
     with pytest.raises(ValueError, match="power of two"):
         TrainConfig(n_mesh=4)
-    assert TrainConfig(n_mesh=16).n_max == 4  # mesh // 8 would be 2, below the rule's 4
+    with pytest.raises(TypeError, match="n_max"):
+        TrainConfig(n_max=8)  # the cap follows from the mesh; it is not a setting
+    with pytest.raises(AttributeError):
+        TrainConfig().n_max = 8
 
 
 def test_config_accepts_numpy_integers():
-    config = TrainConfig(n_mesh=np.int64(512), n_max=np.int32(8))
-    assert (config.n_mesh, config.n_max) == (512, 8)
+    config = TrainConfig(n_mesh=np.int64(512))
+    assert (config.n_mesh, config.n_max) == (512, 64)
     assert type(config.n_mesh) is int and type(config.n_max) is int
-    assert type(TrainConfig(n_mesh=np.int64(64)).n_max) is int
     with pytest.raises(ValueError, match="power of two"):
         TrainConfig(n_mesh=np.float64(512))
-    with pytest.raises(ValueError, match="n_max must be an integer"):
-        TrainConfig(n_mesh=64, n_max=np.float64(8))
     data = generate_spirals(2, 30, [0.01, 0.01], 1.5, 3)
-    as_numpy = train(data, TrainConfig(n_mesh=np.int64(32), n_max=np.int64(6)))
-    assert model_to_bytes(as_numpy) == model_to_bytes(train(data, TrainConfig(32, n_max=6)))
+    as_numpy = train(data, TrainConfig(n_mesh=np.int64(32)))
+    assert model_to_bytes(as_numpy) == model_to_bytes(train(data, TrainConfig(32)))
 
 
 # ---------------------------------------------------------------- pearson
@@ -266,7 +265,7 @@ def test_spectral_search_matches_spatial_search(mesh, seed, fill, epsilon):
     occupied.flat[rng.integers(mesh * mesh)] = True
     signs = np.where(rng.random((mesh, mesh)) < 0.5, -1.0, 1.0)
     raster = np.where(occupied, signs, 0.0)
-    n_max = max(4, mesh // 8)
+    n_max = TrainConfig(n_mesh=mesh).n_max
     n_ref, corr_ref, d2_ref, conv_ref = _spatial_search(raster, grid, epsilon, n_max)
     trace = find_optimal_iteration(PrunedSpectrum(raster, grid), epsilon, n_max)
     assert trace.n_k == n_ref
@@ -300,9 +299,10 @@ def test_checkerboard_raster_in_both_searches(mesh, stops):
     grid = GridSpec(mesh)
     i = np.arange(mesh)
     raster = np.where((i[:, None] + i) % 2 == 0, 1.0, -1.0)
+    n_max = TrainConfig(n_mesh=mesh).n_max
     searches = [
-        lambda: find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, mesh // 8),
-        lambda: stopping_rule(full_plane_correlations(raster, grid), 0.01, mesh // 8),
+        lambda: find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, n_max),
+        lambda: stopping_rule(full_plane_correlations(raster, grid), 0.01, n_max),
     ]
     for search in searches:
         if stops:
@@ -322,7 +322,9 @@ def test_one_pixel_raster_stops_at_five(mesh):
         for sign in (1.0, -1.0):
             raster = np.zeros((mesh, mesh))
             raster[pixel] = sign
-            trace = find_optimal_iteration(PrunedSpectrum(raster, grid), 0.01, mesh // 8)
+            trace = find_optimal_iteration(
+                PrunedSpectrum(raster, grid), 0.01, TrainConfig(n_mesh=mesh).n_max
+            )
             assert (trace.n_k, trace.converged) == (5, True), (pixel, sign)
 
 
