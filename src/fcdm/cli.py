@@ -37,8 +37,7 @@ def _build_parser():
     p = sub.add_parser("train", help="fit a model from a labeled CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--mesh", type=int, default=512)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--mesh", type=int, default=512, help="power-of-two grid size")
     p.add_argument("--header", action="store_true",
                    help="skip the first CSV line")
     p.set_defaults(func=_cmd_train)
@@ -86,7 +85,7 @@ def _cmd_generate(args):
 
 def _cmd_train(args):
     try:
-        config = TrainConfig(n_mesh=args.mesh, epsilon=args.epsilon)
+        config = TrainConfig(n_mesh=args.mesh)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     data = ds.load_csv(args.input, has_header=args.header)

@@ -161,10 +161,12 @@ def generate_spirals(n_classes, n_per_class, noise_sigmas, turns, seed):
     uniform on [0.2, 1], radius grows as 0.45*t around center (0.5, 0.5),
     and isotropic Gaussian noise with per-class sigma is added to both
     coordinates. Labels are "c0", "c1", ..., checked first by _vocabulary's
-    rule (n_classes < 2 fails there). Deterministic for a fixed (n_classes,
+    rule (0 or 1 classes fail there, < 0 just before). Deterministic for a fixed (n_classes,
     n_per_class, noise_sigmas, turns, seed); draws come from a PCG64 stream
     in a fixed order (t first, then the noise pair, class by class).
     """
+    if n_classes < 0:  # an empty range would reach _vocabulary as 0 classes
+        raise ValueError(f"need at least 2 classes, got {n_classes}")
     labels = _vocabulary(f"c{k}" for k in range(n_classes))
     if n_per_class < 1:
         raise ValueError(f"need at least 1 point per class, got {n_per_class}")

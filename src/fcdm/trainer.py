@@ -20,19 +20,17 @@ from .spectral import PrunedSpectrum, consecutive_correlations, row_tiles, smoot
 # below this total shifted density a pixel carries no information and
 # falls back to the uniform distribution
 _DEGENERATE_EPS = 1e-12
+_EPSILON = 0.01  # the stopping rule's threshold on |d2(n)|: part of the method, not a setting
 
 
 @dataclass
 class TrainConfig:
-    """Knobs for train(): n_mesh and epsilon. n_max, the search cap, follows from the mesh."""
+    """The one knob of train(), n_mesh. n_max, the search cap, follows from the mesh."""
 
     n_mesh: int = 512
-    epsilon: float = 0.01
 
     def __post_init__(self):
         self.n_mesh = GridSpec(self.n_mesh).n_mesh  # the mesh rule lives there
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     @property
     def n_max(self):
@@ -216,7 +214,7 @@ def train(data, config=None):
     grid = GridSpec(n_mesh=config.n_mesh)
     spectra = [PrunedSpectrum(rasterize_signed(normalized, lab, grid).values, grid)
                for lab in data.labels]
-    traces = [find_optimal_iteration(s, config.epsilon, config.n_max) for s in spectra]
+    traces = [find_optimal_iteration(s, _EPSILON, config.n_max) for s in spectra]
     n_final = max(t.n_k for t in traces)
     for s in spectra:
         s.keep(n_final)
@@ -229,7 +227,7 @@ def train(data, config=None):
         grid=grid,
         scaler=scaler,
         n_final=n_final,
-        epsilon=config.epsilon,
+        epsilon=_EPSILON,
         probabilities=probs,
         traces=traces,
     )

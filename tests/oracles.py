@@ -14,7 +14,9 @@ reproduce them byte for byte. csv_rows_text writes CSV rows with one
 csv.writer call per row: the column-wise row writer must reproduce it
 byte for byte. evaluate_pointwise builds the confusion matrix with one
 increment per point: evaluate's single bincount must give the same
-report, bit for bit.
+report, bit for bit. naive_dft2 is the 2-D DFT as its quadruple-loop
+definition. model_from_fields builds a ClassifierModel straight from
+given probability fields, with no training.
 """
 
 import csv
@@ -23,9 +25,12 @@ import itertools
 
 import numpy as np
 
+from fcdm.dataset import FeatureScaler
+from fcdm.grid import GridSpec
 from fcdm.inference import EvalReport, predict
 from fcdm.render import class_palette
 from fcdm.spectral import PrunedSpectrum, _aliased_gaussian, _transfer_axis, smooth_density
+from fcdm.trainer import ClassifierModel
 
 
 def smooth(values, grid, n_iter):
@@ -192,4 +197,31 @@ def evaluate_pointwise(model, data):
         macro_recall=macro,
         accuracy=accuracy,
         n_points=len(data),
+    )
+
+
+def naive_dft2(a):
+    """The transform written as its quadruple-loop definition, O(N^4)."""
+    n = a.shape[0]
+    out = np.zeros((n, n), dtype=np.complex128)
+    for k1 in range(n):
+        for k2 in range(n):
+            acc = 0.0 + 0.0j
+            for m1 in range(n):
+                for m2 in range(n):
+                    acc += a[m1, m2] * np.exp(-2j * np.pi * (k1 * m1 + k2 * m2) / n)
+            out[k1, k2] = acc
+    return out
+
+
+def model_from_fields(fields, labels, n=8, scaler=None):
+    """A ClassifierModel over the given (n, n) probability fields, one per label."""
+    grid = GridSpec(n)
+    return ClassifierModel(
+        labels=labels,
+        grid=grid,
+        scaler=scaler or FeatureScaler(0, 1, 0, 1),
+        n_final=3,
+        epsilon=0.01,
+        probabilities=np.stack(fields),
     )

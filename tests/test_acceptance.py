@@ -17,7 +17,7 @@ import fcdm
 from fcdm import cli
 from fcdm.grid import GridSpec
 from fcdm.spectral import PrunedSpectrum, smooth_density
-from oracles import smooth_density_direct
+from oracles import naive_dft2, smooth_density_direct
 
 
 # ---------------------------------------------------------------- 1
@@ -82,21 +82,6 @@ def test_criterion_4_convergence_behavior(default_run):
 
 # ---------------------------------------------------------------- 5
 
-def _naive_dft2(a):
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for k1 in range(n):
-        for k2 in range(n):
-            acc = 0.0 + 0.0j
-            for m1 in range(n):
-                for m2 in range(n):
-                    acc += a[m1, m2] * np.exp(
-                        -2j * np.pi * (k1 * m1 + k2 * m2) / n
-                    )
-            out[k1, k2] = acc
-    return out
-
-
 @pytest.mark.acceptance(criterion=5, name="DFT correctness")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_5_dft_against_naive_definition(seed):
@@ -106,7 +91,7 @@ def test_criterion_5_dft_against_naive_definition(seed):
     grid = GridSpec(8)
     rng = np.random.default_rng(seed)
     field = rng.uniform(-1, 1, (8, 8))
-    naive = _naive_dft2(field)[:, :5]
+    naive = naive_dft2(field)[:, :5]
     fast = PrunedSpectrum(field, grid).columns(5)
     assert np.abs(fast - naive).max() <= 1e-10 * np.abs(naive).max()
     back = np.fft.irfft(np.fft.ifft(fast, axis=0), n=8, axis=1)

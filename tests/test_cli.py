@@ -119,6 +119,8 @@ def test_generate_negative_seed_is_usage_error(tmp_path, capsys):
     (["--noise", "0.01,inf,0.02"], "noise sigmas must be finite and nonnegative"),
     (["--classes", "1"], "need at least 2 classes, got 1"),  # before the sigma count
     (["--classes", "0"], "need at least 2 classes, got 0"),
+    (["--classes", "-1"], "need at least 2 classes, got -1"),
+    (["--classes", "-1", "--noise", "0.01"], "need at least 2 classes, got -1"),
 ])
 def test_generate_argument_rules_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
@@ -158,12 +160,15 @@ def test_train_rejects_non_power_of_two_mesh(workspace, tmp_path):
     assert code == 2
 
 
-def test_train_rejects_zero_epsilon(workspace, tmp_path):
+def test_train_has_no_epsilon_flag(workspace, tmp_path, capsys):
+    # the stopping threshold is part of the method
     code, _ = _run([
         "train", "--input", str(workspace["csv"]),
-        "--out", str(tmp_path / "m"), "--epsilon", "0",
+        "--out", str(tmp_path / "m"), "--epsilon", "0.01",
     ])
     assert code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_train_has_no_nmax_flag(workspace, tmp_path, capsys):

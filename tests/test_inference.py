@@ -10,32 +10,20 @@ from fcdm.dataset import Dataset, FeatureScaler, apply_scaler
 from fcdm.grid import GridSpec, _pixel_rows_cols
 from fcdm.inference import evaluate, predict, predict_batch
 from fcdm.trainer import ClassifierModel
-from oracles import evaluate_pointwise
-
-
-def _model_from_fields(fields, labels, n=8, scaler=None):
-    grid = GridSpec(n)
-    return ClassifierModel(
-        labels=labels,
-        grid=grid,
-        scaler=scaler or FeatureScaler(0, 1, 0, 1),
-        n_final=3,
-        epsilon=0.01,
-        probabilities=np.stack(fields),
-    )
+from oracles import evaluate_pointwise, model_from_fields
 
 
 def _flat_model(probs, n=8):
     k = len(probs)
     fields = [np.full((n, n), p) for p in probs]
-    return _model_from_fields(fields, tuple(f"k{c}" for c in range(k)), n=n)
+    return model_from_fields(fields, tuple(f"k{c}" for c in range(k)), n=n)
 
 
 def _split_model():
     """Class A owns the left half of the square, B the right half."""
     a = np.zeros((8, 8))
     a[:, :4] = 1.0
-    return _model_from_fields([a, 1.0 - a], ("A", "B"))
+    return model_from_fields([a, 1.0 - a], ("A", "B"))
 
 
 def test_predict_reads_probabilities_and_argmax():
@@ -97,7 +85,7 @@ def test_a_pair_of_numeric_strings_reads_the_same_pixel_in_both_lookups():
 
 def test_predict_uses_scaler():
     # raw data on [10, 20] x [0, 100]; left half of the raw range is class A
-    model = _model_from_fields(
+    model = model_from_fields(
         [np.hstack([np.ones((8, 4)), np.zeros((8, 4))]),
          np.hstack([np.zeros((8, 4)), np.ones((8, 4))])],
         ("A", "B"),
@@ -193,7 +181,7 @@ _TRIPLES = [
 def _tie_model(scaler, n=8):
     picks = np.random.default_rng(5).integers(len(_TRIPLES), size=(n, n))
     fields = np.moveaxis(np.array(_TRIPLES)[picks], -1, 0)
-    return _model_from_fields(list(fields), ("A", "B", "C"), n=n, scaler=scaler)
+    return model_from_fields(list(fields), ("A", "B", "C"), n=n, scaler=scaler)
 
 
 _TIE_MODELS = [
@@ -312,7 +300,7 @@ def _small_models(draw):
     weights[:, weights.sum(axis=0) == 0] = 1.0
     scaler = draw(st.sampled_from([m.scaler for m in _TIE_MODELS]))
     labels = tuple(f"k{c}" for c in range(k))
-    return _model_from_fields(list(weights / weights.sum(axis=0)), labels, n=n, scaler=scaler)
+    return model_from_fields(list(weights / weights.sum(axis=0)), labels, n=n, scaler=scaler)
 
 
 @given(st.data())

@@ -2,28 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcdm.dataset import FeatureScaler, generate_spirals
-from fcdm.grid import GridSpec
+from fcdm.dataset import generate_spirals
 from fcdm.inference import predict
 from fcdm.render import class_palette, decision_ppm, probability_pgm
-from fcdm.trainer import ClassifierModel, TrainConfig, train
-
-
-def _model_from_fields(fields, labels, n=8):
-    grid = GridSpec(n)
-    return ClassifierModel(
-        labels=labels,
-        grid=grid,
-        scaler=FeatureScaler(0, 1, 0, 1),
-        n_final=3,
-        epsilon=0.01,
-        probabilities=np.stack(fields),
-    )
+from fcdm.trainer import TrainConfig, train
+from oracles import model_from_fields
 
 
 def _uniform_model(k, n=8):
     fields = [np.full((n, n), 1.0 / k) for _ in range(k)]
-    return _model_from_fields(fields, tuple(f"k{c}" for c in range(k)), n=n)
+    return model_from_fields(fields, tuple(f"k{c}" for c in range(k)), n=n)
 
 
 def test_palette_is_pure_hues():
@@ -47,7 +35,7 @@ def test_uniform_model_renders_flat_gray():
 
 def test_pgm_gray_levels_are_rounded_probabilities():
     v = np.linspace(0.0, 1.0, 64).reshape(8, 8)
-    model = _model_from_fields([v, 1.0 - v], ("A", "B"))
+    model = model_from_fields([v, 1.0 - v], ("A", "B"))
     raw = probability_pgm(model, 0)
     payload = np.frombuffer(raw[len(b"P5\n8 8\n255\n"):], dtype=np.uint8)
     assert np.array_equal(payload, np.rint(255.0 * v).ravel().astype(np.uint8))
@@ -56,7 +44,7 @@ def test_pgm_gray_levels_are_rounded_probabilities():
 def test_pgm_row_zero_is_top_row():
     a = np.zeros((8, 8))
     a[0, :] = 1.0  # class A owns field row 0
-    model = _model_from_fields([a, 1.0 - a], ("A", "B"))
+    model = model_from_fields([a, 1.0 - a], ("A", "B"))
     payload = probability_pgm(model, 0)[len(b"P5\n8 8\n255\n"):]
     assert set(payload[:8]) == {255}
     assert set(payload[8:]) == {0}
@@ -73,7 +61,7 @@ def test_pgm_class_index_range_checked():
 def test_ppm_header_size_and_colors():
     a = np.zeros((8, 8))
     a[:, :4] = 1.0
-    model = _model_from_fields([a, 1.0 - a], ("A", "B"))
+    model = model_from_fields([a, 1.0 - a], ("A", "B"))
     raw = decision_ppm(model)
     header = b"P6\n8 8\n255\n"
     assert raw.startswith(header)
@@ -86,7 +74,7 @@ def test_ppm_header_size_and_colors():
 
 def test_ppm_ties_color_lowest_class():
     half = np.full((8, 8), 0.5)
-    model = _model_from_fields([half, half], ("A", "B"))
+    model = model_from_fields([half, half], ("A", "B"))
     header = b"P6\n8 8\n255\n"
     rgb = np.frombuffer(decision_ppm(model)[len(header):], dtype=np.uint8)
     expected = np.tile(np.array(class_palette(2)[0], dtype=np.uint8), 64)
@@ -132,6 +120,6 @@ def test_one_pass_decision_map_equals_argmax(k, n, levels, seed):
     rng = np.random.default_rng(seed)
     weights = rng.integers(0, levels + 1, size=(k, n, n)).astype(np.float64)
     weights[:, weights.sum(axis=0) == 0] = 1.0
-    model = _model_from_fields(weights / weights.sum(axis=0),
+    model = model_from_fields(weights / weights.sum(axis=0),
                                tuple(f"k{c}" for c in range(k)), n=n)
     assert decision_ppm(model) == _argmax_ppm(model)

@@ -17,24 +17,11 @@ from oracles import (
     full_plane_smooth,
     full_plane_transfer,
     half_plane,
+    naive_dft2,
     smooth,
     smooth_density_direct,
     underflow_axis,
 )
-
-
-def naive_dft2(a):
-    """The transform written as its quadruple-loop definition, O(N^4)."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for k1 in range(n):
-        for k2 in range(n):
-            acc = 0.0 + 0.0j
-            for m1 in range(n):
-                for m2 in range(n):
-                    acc += a[m1, m2] * np.exp(-2j * np.pi * (k1 * m1 + k2 * m2) / n)
-            out[k1, k2] = acc
-    return out
 
 
 def _random_field(grid, seed, low=-1.0, high=1.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -28,8 +29,11 @@ from oracles import full_plane_correlations, smooth, smooth_density_direct
 def test_config_defaults():
     config = TrainConfig()
     assert config.n_mesh == 512
-    assert config.epsilon == 0.01
     assert config.n_max == 64  # n_mesh / 8
+    # the mesh is the one setting; the stopping threshold is fixed at 0.01
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == ["n_mesh"]
+    data = generate_spirals(2, 30, [0.01, 0.01], 1.5, 3)
+    assert train(data, TrainConfig(n_mesh=32)).epsilon == 0.01
 
 
 @pytest.mark.parametrize("mesh", [2**k for k in range(3, 12)])
@@ -42,8 +46,8 @@ def test_config_nmax_follows_mesh(mesh):
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(n_mesh=100)
-    with pytest.raises(ValueError):
-        TrainConfig(epsilon=0.0)
+    with pytest.raises(TypeError, match="epsilon"):
+        TrainConfig(epsilon=0.0)  # the stopping threshold is not a setting
     with pytest.raises(ValueError, match="power of two"):
         TrainConfig(n_mesh=4)
     with pytest.raises(TypeError, match="n_max"):
